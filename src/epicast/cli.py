@@ -119,15 +119,28 @@ def _split_tags(text: str) -> list[str]:
 def _parse_weight_mode(text: str):
     parts = text.strip().lower().split(":")
     mode = parts[0]
-    if mode == "last" and len(parts) == 1:
-        return {"mode": "last"}
-    if mode == "window" and len(parts) == 2:
-        return {"mode": "window", "window": int(parts[1])}
-    if mode == "ewma" and len(parts) == 2:
-        return {"mode": "ewma", "decay": float(parts[1])}
+    try:
+        if mode == "last" and len(parts) == 1:
+            return {"mode": "last"}
+        if mode == "window" and len(parts) == 2:
+            return {"mode": "window", "window": int(parts[1])}
+        if mode == "ewma" and len(parts) == 2:
+            return {"mode": "ewma", "decay": float(parts[1])}
+    except ValueError:
+        pass
     raise ValidationError(
         f"bad --weight-mode {text!r}; expected last, window:K or ewma:LAMBDA"
     )
+
+
+def _parse_growth_window(text: str) -> tuple[int, int]:
+    try:
+        start, stop = (int(v) for v in text.split(":"))
+    except ValueError:
+        raise ValidationError(
+            f"bad --growth-window {text!r}; expected START:STOP integers"
+        ) from None
+    return start, stop
 
 
 def cmd_forecast(args) -> list[Path]:
@@ -343,11 +356,10 @@ def cmd_shelflife(args) -> list[Path]:
 
 
 def cmd_r0(args) -> list[Path]:
-    series = parse_series_csv(args.input)
     window = None
     if args.growth_window is not None:
-        start, stop = (int(v) for v in args.growth_window.split(":"))
-        window = (start, stop)
+        window = _parse_growth_window(args.growth_window)
+    series = parse_series_csv(args.input)
     gi = epi.GenerationInterval(args.gi_mean, args.gi_shape)
     r, stderr, mse = epi.fit_growth_rate(series, window)
     growth = epi.r0_from_growth(r, gi, stderr=stderr, mse=mse)
@@ -389,24 +401,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_default=DEFAULT_MODEL, model_help="model tag"):
+    def common(p):
         p.add_argument("--input", required=True, help="input CSV path")
-        p.add_argument("--model", default=model_default, help=model_help)
         p.add_argument("--seed", type=int, default=42, help="master seed")
         p.add_argument("--out", default=".", help="output directory")
+
+    def model_flags(p, model_default=DEFAULT_MODEL, model_help="model tag"):
+        common(p)
+        p.add_argument("--model", default=model_default, help=model_help)
         p.add_argument("--lags", type=int, default=None)
         p.add_argument("--hidden", type=int, default=None)
         p.add_argument("--repeats", type=int, default=None)
         p.add_argument("--epochs", type=int, default=None)
 
     p = sub.add_parser("forecast", help="h-step point forecasts")
-    common(p, model_help=f"one of {', '.join(MODEL_TAGS)}")
+    model_flags(p, model_help=f"one of {', '.join(MODEL_TAGS)}")
     p.add_argument("--horizon", type=int, default=7)
     p.add_argument("--svg", action="store_true", help="also draw an SVG chart")
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("adjust", help="constant-sum correction over a panel")
-    common(p)
+    model_flags(p)
     p.add_argument(
         "--weight-mode",
         default="last",
@@ -415,14 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adjust)
 
     p = sub.add_parser("monitor", help="rolling-window model comparison")
-    common(p, model_default=",".join(MODEL_TAGS),
-           model_help="comma-separated model tags")
+    model_flags(p, model_default=",".join(MODEL_TAGS),
+                model_help="comma-separated model tags")
     p.add_argument("--window", type=int, default=4, help="window width k")
     p.add_argument("--svg", action="store_true", help="also draw an SVG chart")
     p.set_defaults(func=cmd_monitor)
 
     p = sub.add_parser("shelflife", help="APE-trend staleness horizon")
-    common(p)
+    model_flags(p)
     p.add_argument("--train-len", type=int, default=None,
                    help="training prefix length (default: half the series)")
     p.add_argument("--threshold", type=float, default=5.0,

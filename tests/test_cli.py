@@ -29,6 +29,11 @@ def write_series_csv(tmp_path, series, name="series.csv"):
 FAST_FLAGS = ["--repeats", "3", "--epochs", "60"]
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestForecastCommand:
     def test_holt_on_linear_is_exact(self, tmp_path):
         path = write_series_csv(tmp_path, linear_series(50))
@@ -121,6 +126,17 @@ class TestAdjustCommand:
         assert run(["adjust", "--input", path, "--model", "holt",
                     "--weight-mode", "ewma:0.9", "--out", out]) == 0
         assert (out / "adjustment.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["window:abc", "ewma:x"])
+    def test_bad_weight_mode_value_exits_one(self, tmp_path, panel, capsys,
+                                             mode):
+        path = tmp_path / "panel.csv"
+        panel.to_csv(path)
+        out = tmp_path / "out"
+        assert run(["adjust", "--input", path, "--model", "holt",
+                    "--weight-mode", mode, "--out", out]) == 1
+        assert_one_error_line(capsys)
+        assert not out.exists()
 
     def test_excluded_state_renormalises(self, tmp_path, panel, capsys):
         from epicast.hybrid import fit_tagged_models
@@ -248,6 +264,26 @@ class TestR0Command:
         assert run(["r0", "--input", path, "--population", "1e9",
                     "--growth-window", "0:30", "--out", out]) == 0
         assert (out / "r0.csv").exists()
+
+    @pytest.mark.parametrize("window", ["3", "a:b", "1:2:3"])
+    def test_bad_growth_window_exits_one(self, tmp_path, capsys, window):
+        path = write_series_csv(tmp_path, make_series(np.full(40, 50.0)))
+        out = tmp_path / "out"
+        assert run(["r0", "--input", path, "--growth-window", window,
+                    "--out", out]) == 1
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--model", "--lags", "--hidden",
+                                      "--repeats", "--epochs"])
+    def test_model_flags_rejected(self, tmp_path, capsys, flag):
+        path = write_series_csv(tmp_path, make_series(np.full(40, 50.0)))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["r0", "--input", path, flag, "5", "--out", out])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFailureModes:

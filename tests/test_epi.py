@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicast.epi import (
     GenerationInterval,
@@ -19,6 +21,34 @@ from epicast.errors import (
 )
 
 from conftest import make_series
+
+
+def _reference_sir_simulate(beta, gamma, s0, i0, days, step):
+    """The array-form RK4 that ``sir_simulate`` replaced: the readable oracle
+    its scalar loop must match bit for bit."""
+    substeps = max(1, math.ceil(1.0 / step))
+    dt = 1.0 / substeps
+
+    def rhs(state):
+        s, i = state
+        flow = beta * s * i
+        return np.array([-flow, flow - gamma * i])
+
+    state = np.array([s0, i0], dtype=float)
+    recovered0 = 1.0 - s0 - i0
+    out = np.empty((days + 1, 2))
+    out[0] = state
+    for day in range(1, days + 1):
+        for _ in range(substeps):
+            k1 = rhs(state)
+            k2 = rhs(state + 0.5 * dt * k1)
+            k3 = rhs(state + 0.5 * dt * k2)
+            k4 = rhs(state + dt * k3)
+            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[day] = state
+    s = out[:, 0]
+    i = out[:, 1]
+    return s, i, (s0 + i0 + recovered0) - s - i
 
 
 class TestGrowthRate:
@@ -130,6 +160,24 @@ class TestSirSimulate:
             sir_simulate(0.3, 0.2, 0.9, 0.05, days=10, step=0.7)
         with pytest.raises(ValidationError):
             sir_simulate(0.3, 0.2, 0.9, 0.2, days=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        beta=st.floats(0.0, 5.0),
+        gamma=st.floats(1.0 / 60.0, 2.0),
+        i0=st.floats(1e-10, 0.05),
+        days=st.integers(1, 303),
+        step=st.sampled_from([0.1, 0.25, 0.3, 0.5]),
+        scalar=st.sampled_from([float, np.float64]),
+    )
+    def test_bit_identical_to_array_form(self, beta, gamma, i0, days, step,
+                                         scalar):
+        # sir_fit passes numpy scalars, so both kinds of input are covered
+        args = (scalar(beta), scalar(gamma), scalar(1.0 - i0), scalar(i0))
+        traj = sir_simulate(*args, days, step=step)
+        reference = _reference_sir_simulate(*args, days, step)
+        for got, want in zip((traj.s, traj.i, traj.r), reference):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSirFit:
