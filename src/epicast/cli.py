@@ -163,7 +163,7 @@ def cmd_forecast(args) -> list[Path]:
             f"{args.model} forecast for {series.name}",
         )
         outputs.append((out_dir / "forecast.svg", "text", chart))
-    return _emit(outputs)
+    return _emit(outputs, optional=[out_dir / "forecast.svg"])
 
 
 def _fit_panel(panel: HierarchicalPanel, model: str, config: TdnnConfig,
@@ -266,7 +266,7 @@ def cmd_adjust(args, fit_one=None) -> list[Path]:
     if excluded:
         text = "".join(f"{name}: {reason}\n" for name, reason in excluded)
         outputs.append((out_dir / "exclusions.txt", "text", text))
-    written = _emit(outputs)
+    written = _emit(outputs, optional=[out_dir / "exclusions.txt"])
     print(f"branch: {adjustment.branch}")
     return written
 
@@ -310,7 +310,7 @@ def cmd_monitor(args) -> list[Path]:
             f"moving-window metric, k={report.k}",
         )
         outputs.append((out_dir / "monitor.svg", "text", chart))
-    written = _emit(outputs)
+    written = _emit(outputs, optional=[out_dir / "monitor.svg"])
     print(f"mode winner: {report.mode_winner}")
     print(f"recency-weighted winner: {report.weighted_winner}")
     return written
@@ -379,8 +379,13 @@ def cmd_r0(args) -> list[Path]:
     return written
 
 
-def _emit(outputs) -> list[Path]:
-    """Write all prepared outputs; directories are created as needed."""
+def _emit(outputs, optional=()) -> list[Path]:
+    """Write all prepared outputs; directories are created as needed.
+
+    ``optional`` names the files the command writes only on some runs; any
+    of them this run did not write is removed, so a rerun into the same
+    directory leaves no stale file from an earlier run.
+    """
     written = []
     for path, kind, payload in outputs:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -391,6 +396,10 @@ def _emit(outputs) -> list[Path]:
             _write_text(path, payload)
         written.append(path)
         log.info("wrote %s", path)
+    for path in optional:
+        if path not in written and path.exists():
+            path.unlink()
+            log.info("removed stale %s", path)
     return written
 
 

@@ -214,6 +214,10 @@ def sir_fit(
 ) -> SirFit:
     """Fit (beta, gamma, i0) to cumulative incidence fractions by bounded
     direct search; s0 is 1 - i0 and the model curve is 1 - S(t)."""
+    if not math.isfinite(population):
+        raise ValidationError(
+            f"population must be a finite number, got {population!r}"
+        )
     cumulative = np.cumsum(series.values)
     if cumulative[-1] <= 0:
         raise ValidationError(f"{series.name}: no epidemic signal to fit")
@@ -225,12 +229,15 @@ def sir_fit(
     lo = np.array([SIR_BOUNDS[k][0] for k in ("beta", "gamma", "i0")])
     hi = np.array([SIR_BOUNDS[k][1] for k in ("beta", "gamma", "i0")])
 
-    def objective(x: np.ndarray) -> float:
+    def trajectory_sse(x: np.ndarray) -> float:
         beta, gamma, i0 = np.clip(x, lo, hi)
         traj = sir_simulate(beta, gamma, 1.0 - i0, i0, days, step=step)
         model = 1.0 - traj.s[1:]
         err = model - observed
-        sse = float(err @ err)
+        return float(err @ err)
+
+    def objective(x: np.ndarray) -> float:
+        sse = trajectory_sse(x)
         return sse if math.isfinite(sse) else 1e300
 
     x0 = np.array([0.2, 0.1, max(float(observed[0]), 1e-8)])
@@ -241,7 +248,7 @@ def sir_fit(
         options={"maxfev": 600, "xatol": 1e-8, "fatol": 1e-12},
     )
     best = np.clip(res.x if res.fun <= objective(x0) else x0, lo, hi)
-    sse = objective(best)
+    sse = trajectory_sse(best)
     if not math.isfinite(sse):
         raise FitError(
             f"SIR search failed; best parameters so far beta={best[0]:.4g}, "

@@ -111,6 +111,14 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
     falls out of the weight matmul, buffers are preallocated, and the
     divergence check runs on the (small) gradient tensors. The epoch loop
     dominates the cost of every fit in this package.
+
+    The output-layer term ``err * w2`` is taken one hidden unit at a time,
+    as H products over (C, R, N) planes. Broadcast to (C, R, N, H) in one
+    call, numpy runs the short H axis innermost as tiny stride-0 loops, and
+    that one call took a third of the epoch. The products are the same, so
+    are the bits. The first layer is kept negated, so the matmul yields
+    ``-(x @ w1)`` directly for ``exp``. Negation is exact in float64, so
+    this too keeps the bits, up to the sign of a weight that is exactly 0.
     """
     lr = config.learning_rate
     c, n, p = x.shape
@@ -118,7 +126,7 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
     h = weights["w1"].shape[-1]
     x_aug = np.concatenate([x, np.ones((c, n, 1))], axis=2)[:, None]
     x_aug_t = np.ascontiguousarray(x_aug[:, 0].transpose(0, 2, 1))[:, None]
-    w1_aug = np.concatenate(
+    neg_w1 = -np.concatenate(
         [weights["w1"], weights["b1"][:, :, None, :]], axis=2
     )
     w2_col = np.ascontiguousarray(weights["w2"][..., None])
@@ -128,7 +136,8 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
     sig_grad = np.empty_like(hidden)
     d_pre = np.empty_like(hidden)
     pred = np.empty((c, r, n, 1))
-    d_w1_aug = np.empty_like(w1_aug)
+    err = pred[..., 0]
+    d_w1_aug = np.empty_like(neg_w1)
     d_w2 = np.empty_like(w2_col)
 
     def fail(epoch: int):
@@ -142,8 +151,7 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
 
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            np.matmul(x_aug, w1_aug, out=hidden)
-            np.negative(hidden, out=hidden)
+            np.matmul(x_aug, neg_w1, out=hidden)
             np.exp(hidden, out=hidden)
             hidden += 1.0
             np.reciprocal(hidden, out=hidden)
@@ -152,19 +160,20 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
             pred -= y_col                # pred now holds the errors
             pred *= 2.0 / n              # ... and now d(loss)/d(prediction)
             np.matmul(hidden.transpose(0, 1, 3, 2), pred, out=d_w2)
-            d_b2 = pred[..., 0].sum(axis=-1)
+            d_b2 = err.sum(axis=-1)
             np.multiply(hidden, hidden, out=sig_grad)
             np.subtract(hidden, sig_grad, out=sig_grad)
-            np.multiply(pred, w2_col.transpose(0, 1, 3, 2), out=d_pre)
+            for j in range(h):
+                np.multiply(err, w2_col[:, :, j], out=d_pre[..., j])
             d_pre *= sig_grad
             np.matmul(x_aug_t, d_pre, out=d_w1_aug)
             if not (np.isfinite(d_w1_aug).all() and np.isfinite(d_w2).all()):
                 fail(epoch)
-            w1_aug -= lr * d_w1_aug
+            neg_w1 += lr * d_w1_aug
             w2_col -= lr * d_w2
             b2 -= lr * d_b2
-    weights["w1"] = np.ascontiguousarray(w1_aug[:, :, :p, :])
-    weights["b1"] = np.ascontiguousarray(w1_aug[:, :, p, :])
+    weights["w1"] = -neg_w1[:, :, :p, :]
+    weights["b1"] = -neg_w1[:, :, p, :]
     weights["w2"] = w2_col[..., 0]
     weights["b2"] = b2
     return weights

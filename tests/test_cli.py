@@ -80,6 +80,18 @@ class TestForecastCommand:
         text = (out / "forecast.svg").read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    def test_rerun_removes_stale_svg(self, tmp_path):
+        path = write_series_csv(tmp_path, linear_series(40))
+        out = tmp_path / "out"
+        argv = ["forecast", "--input", path, "--model", "holt", "--out", out]
+        assert run(argv + ["--svg"]) == 0
+        assert (out / "forecast.svg").exists()
+        (out / "notes.txt").write_text("kept\n")
+        assert run(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "forecast.csv", "notes.txt"
+        ]
+
 
 class TestAdjustCommand:
     def test_zero_discrepancy_no_op(self, tmp_path):
@@ -270,6 +282,17 @@ class TestR0Command:
         path = write_series_csv(tmp_path, make_series(np.full(40, 50.0)))
         out = tmp_path / "out"
         assert run(["r0", "--input", path, "--growth-window", window,
+                    "--out", out]) == 1
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("population", ["nan", "inf", "-inf"])
+    def test_non_finite_population_exits_one(self, tmp_path, capsys,
+                                              population):
+        path = write_series_csv(tmp_path, make_series(np.full(40, 50.0)))
+        out = tmp_path / "out"
+        # "=" keeps argparse from reading "-inf" as an option
+        assert run(["r0", "--input", path, f"--population={population}",
                     "--out", out]) == 1
         assert_one_error_line(capsys)
         assert not out.exists()

@@ -14,8 +14,10 @@ from epicast.epi import (
     sir_fit,
     sir_simulate,
 )
+from epicast import epi
 from epicast.errors import (
     DomainError,
+    FitError,
     InsufficientDataError,
     ValidationError,
 )
@@ -197,6 +199,20 @@ class TestSirFit:
     def test_population_must_exceed_cases(self):
         with pytest.raises(ValidationError):
             sir_fit(make_series(np.full(30, 10.0)), 100.0)
+
+    @pytest.mark.parametrize("population", [math.nan, math.inf, -math.inf])
+    def test_population_must_be_finite(self, population):
+        with pytest.raises(ValidationError, match="finite"):
+            sir_fit(make_series(np.full(30, 10.0)), population)
+
+    def test_non_finite_trajectories_raise_fit_error(self, monkeypatch):
+        def nan_simulate(beta, gamma, s0, i0, days, step=0.1):
+            nan = np.full(days + 1, np.nan)
+            return epi.SirTrajectory(s=nan, i=nan, r=nan)
+
+        monkeypatch.setattr(epi, "sir_simulate", nan_simulate)
+        with pytest.raises(FitError, match="SIR search failed"):
+            sir_fit(make_series(np.full(30, 10.0)), 1e6)
 
     def test_fixture_sanity_band(self, india):
         fit = sir_fit(india, 1.38e9)

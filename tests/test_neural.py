@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from epicast.errors import InsufficientDataError, TrainingError, ValidationError
 from epicast.neural import (
@@ -19,6 +21,79 @@ from epicast.neural import (
 )
 
 FAST = TdnnConfig(repeats=5, epochs=120, seed=9)
+
+
+def _reference_descend(weights, x, y, config, component_labels=None):
+    """The epoch loop that ``_descend`` replaced, with its broadcast
+    ``err * w2`` product and un-negated first layer: the readable oracle
+    the optimised loop must match bit for bit."""
+    lr = config.learning_rate
+    c, n, p = x.shape
+    r = weights["w1"].shape[1]
+    h = weights["w1"].shape[-1]
+    x_aug = np.concatenate([x, np.ones((c, n, 1))], axis=2)[:, None]
+    x_aug_t = np.ascontiguousarray(x_aug[:, 0].transpose(0, 2, 1))[:, None]
+    w1_aug = np.concatenate(
+        [weights["w1"], weights["b1"][:, :, None, :]], axis=2
+    )
+    w2_col = np.ascontiguousarray(weights["w2"][..., None])
+    b2 = weights["b2"].copy()
+    y_col = y[:, None, :, None]
+    hidden = np.empty((c, r, n, h))
+    sig_grad = np.empty_like(hidden)
+    d_pre = np.empty_like(hidden)
+    pred = np.empty((c, r, n, 1))
+    d_w1_aug = np.empty_like(w1_aug)
+    d_w2 = np.empty_like(w2_col)
+
+    def fail(epoch):
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses = np.mean(pred[..., 0] ** 2, axis=-1)
+        comp, restart = np.argwhere(~np.isfinite(losses))[0]
+        where = f"restart {restart}"
+        if component_labels is not None:
+            where = f"component {component_labels[comp]}, {where}"
+        raise TrainingError(f"non-finite loss at epoch {epoch}, {where}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            np.matmul(x_aug, w1_aug, out=hidden)
+            np.negative(hidden, out=hidden)
+            np.exp(hidden, out=hidden)
+            hidden += 1.0
+            np.reciprocal(hidden, out=hidden)
+            np.matmul(hidden, w2_col, out=pred)
+            pred += b2[..., None, None]
+            pred -= y_col
+            pred *= 2.0 / n
+            np.matmul(hidden.transpose(0, 1, 3, 2), pred, out=d_w2)
+            d_b2 = pred[..., 0].sum(axis=-1)
+            np.multiply(hidden, hidden, out=sig_grad)
+            np.subtract(hidden, sig_grad, out=sig_grad)
+            np.multiply(pred, w2_col.transpose(0, 1, 3, 2), out=d_pre)
+            d_pre *= sig_grad
+            np.matmul(x_aug_t, d_pre, out=d_w1_aug)
+            if not (np.isfinite(d_w1_aug).all() and np.isfinite(d_w2).all()):
+                fail(epoch)
+            w1_aug -= lr * d_w1_aug
+            w2_col -= lr * d_w2
+            b2 -= lr * d_b2
+    weights["w1"] = np.ascontiguousarray(w1_aug[:, :, :p, :])
+    weights["b1"] = np.ascontiguousarray(w1_aug[:, :, p, :])
+    weights["w2"] = w2_col[..., 0]
+    weights["b2"] = b2
+    return weights
+
+
+def _descend_outcome(descend, weights, x, y, config, labels):
+    """Trained weights as bytes, or the TrainingError text on divergence."""
+    try:
+        trained = descend({k: v.copy() for k, v in weights.items()}, x, y,
+                          config, component_labels=labels)
+    except TrainingError as exc:
+        return str(exc)
+    return {key: (trained[key].shape, trained[key].tobytes())
+            for key in ("w1", "b1", "w2", "b2")}
 
 
 class TestLagMatrix:
@@ -87,6 +162,52 @@ class TestGradients:
         opt = _descend(opt, x, y, cfg)
         for k in ref:
             assert np.allclose(ref[k], opt[k], rtol=1e-10, atol=1e-12)
+
+
+class TestDescendOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        c=st.integers(1, 4),
+        r=st.integers(1, 5),
+        n=st.integers(1, 40),
+        p=st.integers(1, 5),
+        h=st.integers(1, 5),
+        epochs=st.integers(1, 20),
+        log_rate=st.floats(-3.0, 13.0),
+        data_seed=st.integers(0, 2**32 - 1),
+        labelled=st.booleans(),
+    )
+    def test_bit_identical_to_reference(self, c, r, n, p, h, epochs,
+                                        log_rate, data_seed, labelled):
+        rng = np.random.default_rng(data_seed)
+        scale = 10.0 ** rng.uniform(-1.0, 3.0)
+        x = scale * rng.normal(size=(c, n, p))
+        y = scale * rng.normal(size=(c, n))
+        inits = [_init_weights(np.random.default_rng(data_seed + k), r, p, h)
+                 for k in range(c)]
+        weights = {key: np.stack([w[key] for w in inits]) for key in inits[0]}
+        config = TdnnConfig(lags=p, hidden=h, repeats=r, epochs=epochs,
+                            learning_rate=10.0 ** log_rate)
+        labels = list(range(c)) if labelled else None
+        want = _descend_outcome(_reference_descend, weights, x, y, config,
+                                labels)
+        event("diverged" if isinstance(want, str) else "trained")
+        got = _descend_outcome(_descend, weights, x, y, config, labels)
+        assert got == want
+
+    def test_diverging_rate_same_error_text(self):
+        rng = np.random.default_rng(5)
+        x = 1e3 * rng.normal(size=(3, 30, 4))
+        y = 1e3 * rng.normal(size=(3, 30))
+        inits = [_init_weights(np.random.default_rng(k), 4, 4, 3)
+                 for k in range(3)]
+        weights = {key: np.stack([w[key] for w in inits]) for key in inits[0]}
+        config = TdnnConfig(repeats=4, epochs=20, learning_rate=1e12)
+        want = _descend_outcome(_reference_descend, weights, x, y, config,
+                                [0, 1, 2])
+        assert want.startswith("non-finite loss at epoch ")
+        assert _descend_outcome(_descend, weights, x, y, config,
+                                [0, 1, 2]) == want
 
 
 class TestTdnnTrain:
