@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .core import UnivariateSeries
 from .errors import DomainError, FitError, InsufficientDataError, ValidationError
+from .simplex import nelder_mead
 
 Z_95 = 1.96
 
@@ -38,8 +38,11 @@ class GenerationInterval:
     kappa: float
 
     def __post_init__(self):
-        if not (self.mu > 0 and self.kappa > 0):
-            raise ValidationError("generation interval needs mu > 0 and kappa > 0")
+        if not all(math.isfinite(v) and v > 0 for v in (self.mu, self.kappa)):
+            raise ValidationError(
+                "generation interval needs finite mu > 0 and kappa > 0, got "
+                f"mu={self.mu!r}, kappa={self.kappa!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -241,13 +244,8 @@ def sir_fit(
         return sse if math.isfinite(sse) else 1e300
 
     x0 = np.array([0.2, 0.1, max(float(observed[0]), 1e-8)])
-    res = optimize.minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"maxfev": 600, "xatol": 1e-8, "fatol": 1e-12},
-    )
-    best = np.clip(res.x if res.fun <= objective(x0) else x0, lo, hi)
+    x, fun = nelder_mead(objective, x0, maxfev=600, xatol=1e-8, fatol=1e-12)
+    best = np.clip(x if fun <= objective(x0) else x0, lo, hi)
     sse = trajectory_sse(best)
     if not math.isfinite(sse):
         raise FitError(

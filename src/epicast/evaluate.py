@@ -177,10 +177,18 @@ class ShelfLifeResult:
         return np.asarray([a for _, a in self.ape_series], dtype=float)
 
 
+def _check_threshold(threshold_pct: float) -> None:
+    if not (math.isfinite(threshold_pct) and threshold_pct > 0):
+        raise ValidationError(
+            f"APE threshold must be a finite percentage > 0, got {threshold_pct!r}"
+        )
+
+
 def shelf_life_from_apes(
     t_values, apes, train_len: int, threshold_pct: float = 5.0
 ) -> ShelfLifeResult:
     """Regress APE on t and invert the fitted line at the threshold."""
+    _check_threshold(threshold_pct)
     t_arr = np.asarray(t_values, dtype=float)
     ape_arr = np.asarray(apes, dtype=float)
     if len(t_arr) != len(ape_arr) or len(t_arr) < 3:
@@ -221,6 +229,7 @@ def shelf_life(
 ) -> ShelfLifeResult:
     """Train on the first ``train_len`` points, score APE over the rest, and
     report where the APE trend line crosses ``threshold_pct``."""
+    _check_threshold(threshold_pct)  # before the fit, which may take seconds
     t = len(series)
     if not 0 < train_len < t:
         raise ValidationError(f"train_len must lie in (0, {t})")

@@ -14,13 +14,15 @@ one-step error for any smoothing constants, which the tests exploit.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, signal
+from scipy.signal import _sigtools
 
 from .core import UnivariateSeries
 from .errors import FitError, InsufficientDataError, ValidationError
+from .simplex import nelder_mead
 
 PARAM_GRID = np.arange(1, 101) / 100.0  # 0.01 .. 1.00
 MAX_ARMA_ORDER = 5
@@ -194,6 +196,21 @@ def _lag_matrix(w: np.ndarray, p: int, burn: int) -> np.ndarray:
     return np.stack([w[burn - j : n - j] for j in range(1, p + 1)], axis=1)
 
 
+_FILTER_NUMERATOR = np.ones(1)
+
+
+def _ma_filter(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``signal.lfilter([1.0], a, u)`` for a float64 ``a`` with ``a[0] == 1``
+    and ``len(a) > 1``: innovations of an MA polynomial ``a = [1, theta...]``.
+
+    For such an ``a``, lfilter's public wrapper only checks its arguments and
+    then makes exactly this kernel call, so the bits are the same. The CSS
+    search calls it hundreds of thousands of times, and the wrapper's checks
+    and array-API dispatch took longer than the filter itself.
+    """
+    return _sigtools._linear_filter(_FILTER_NUMERATOR, a, u, -1)
+
+
 def css_residuals(
     w: np.ndarray, c: float, phi: np.ndarray, theta: np.ndarray, burn: int
 ) -> np.ndarray:
@@ -203,7 +220,7 @@ def css_residuals(
     if len(phi):
         u = u - lags @ phi
     if len(theta):
-        u = signal.lfilter([1.0], np.concatenate([[1.0], theta]), u)
+        u = _ma_filter(np.concatenate([[1.0], theta]), u)
     return u
 
 
@@ -284,40 +301,44 @@ def css_fit(
     if q == 0:
         return c_ar, phi_ar, np.empty(0), sse_ar
 
+    off = 1 if intercept else 0
+
     def unpack(x: np.ndarray):
-        off = 1 if intercept else 0
         c = x[0] if intercept else 0.0
         return float(c), x[off : off + p], x[off + p :]
 
+    ma_poly = np.empty(q + 1)  # [1, theta...], refilled on every call
+    ma_poly[0] = 1.0
+
     def objective(x: np.ndarray) -> float:
-        c, phi, theta = unpack(x)
-        u = target - c
+        # subtracting a zero intercept is exact, so without one it is skipped
+        u = target - float(x[0]) if intercept else target
         if p:
-            u = u - lags @ phi
-        e = signal.lfilter([1.0], np.concatenate([[1.0], theta]), u)
+            u = u - lags @ x[off : off + p]
+        ma_poly[1:] = x[off + p :]
+        e = _ma_filter(ma_poly, u)
         sse = float(e @ e)
-        return sse if np.isfinite(sse) else 1e300
+        return sse if math.isfinite(sse) else 1e300
 
     starts = []
     if x0 is not None:
         starts.append(np.asarray(x0, dtype=float))
     else:
         hr = _hannan_rissanen_start(w, p, q, intercept)
-        if hr is not None and len(hr) == p + q + (1 if intercept else 0):
+        if hr is not None and len(hr) == p + q + off:
             starts.append(hr)
         starts.append(
             np.concatenate([[c_ar] if intercept else [], phi_ar, np.zeros(q)])
         )
-    best_x = min(starts, key=objective)
-    best_sse = objective(best_x)
-    res = optimize.minimize(
-        objective,
-        best_x,
-        method="Nelder-Mead",
-        options={"maxfev": budget * len(best_x), "xatol": 1e-6, "fatol": 1e-10},
+    # the first start with the smallest SSE, each start scored once
+    scores = [objective(start) for start in starts]
+    best_sse = min(scores)
+    best_x = starts[scores.index(best_sse)]
+    x, fun = nelder_mead(
+        objective, best_x, maxfev=budget * len(best_x), xatol=1e-6, fatol=1e-10
     )
-    if float(res.fun) < best_sse:
-        best_x, best_sse = res.x, float(res.fun)
+    if float(fun) < best_sse:
+        best_x, best_sse = x, float(fun)
     c, phi, theta = unpack(best_x)
     return c, phi.copy(), theta.copy(), best_sse
 

@@ -254,6 +254,17 @@ class TestShelflifeCommand:
         assert "train_len: 30" in (out / "shelflife.txt").read_text()
 
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-5"])
+    def test_bad_threshold_exits_one(self, tmp_path, capsys, threshold):
+        path = write_series_csv(tmp_path, linear_series(40))
+        out = tmp_path / "out"
+        # "=" keeps argparse from reading "-5" as an option
+        assert run(["shelflife", "--input", path, "--model", "holt",
+                    f"--threshold={threshold}", "--out", out]) == 1
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
+
 class TestR0Command:
     def test_constant_series_reports_unit_r0(self, tmp_path):
         path = write_series_csv(tmp_path, make_series(np.full(40, 50.0)))
@@ -294,6 +305,18 @@ class TestR0Command:
         # "=" keeps argparse from reading "-inf" as an option
         assert run(["r0", "--input", path, f"--population={population}",
                     "--out", out]) == 1
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--gi-mean", "--gi-shape"])
+    def test_non_finite_generation_interval_exits_one(self, tmp_path, capsys,
+                                                      flag):
+        # growing counts: a zero growth rate would turn inf into NaN
+        t = np.arange(60)
+        path = write_series_csv(tmp_path, make_series(10.0 * np.exp(0.05 * t)))
+        out = tmp_path / "out"
+        assert run(["r0", "--input", path, "--population", "1e9",
+                    f"{flag}=inf", "--out", out]) == 1
         assert_one_error_line(capsys)
         assert not out.exists()
 

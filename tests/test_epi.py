@@ -126,6 +126,14 @@ class TestR0FromGrowth:
         with pytest.raises(ValidationError):
             GenerationInterval(0.0, 5.0)
 
+    @pytest.mark.parametrize("mu, kappa", [
+        (math.inf, 5.0), (5.0, math.inf), (math.nan, 5.0), (5.0, math.nan),
+        (-math.inf, 5.0), (5.0, -1.0),
+    ])
+    def test_gi_must_be_finite_and_positive(self, mu, kappa):
+        with pytest.raises(ValidationError, match="finite"):
+            GenerationInterval(mu, kappa)
+
     def test_estimate_invariant(self):
         with pytest.raises(ValidationError):
             R0Estimate(

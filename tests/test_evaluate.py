@@ -170,6 +170,18 @@ class TestShelfLife:
         with pytest.raises(ValidationError, match="2020-04-14"):
             shelf_life(s, train_len=30, model="holt")
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf,
+                                           -5.0, 0.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        t_values = np.arange(31, 71)
+        apes = 0.2 * (t_values - 30)
+        with pytest.raises(ValidationError, match="threshold"):
+            shelf_life_from_apes(t_values, apes, train_len=30,
+                                 threshold_pct=threshold)
+        with pytest.raises(ValidationError, match="threshold"):
+            shelf_life(linear_series(40), train_len=20, model="holt",
+                       threshold_pct=threshold)
+
     def test_degenerate_regression(self):
         with pytest.raises(ValidationError):
             shelf_life_from_apes([31, 32], [1.0, 2.0], train_len=30)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize, signal
 
 from epicast.errors import InsufficientDataError, ValidationError
 from epicast.forecasters import (
@@ -14,6 +17,12 @@ from epicast.forecasters import (
     holt_fit,
     holt_forecast,
     make_base_forecaster,
+)
+from epicast.forecasters import (
+    _hannan_rissanen_start,
+    _lag_matrix,
+    _ma_filter,
+    _ols,
 )
 
 from conftest import linear_series, make_series
@@ -37,6 +46,65 @@ def holt_grid_oracle(y):
             level = new_level
         best = min(best, float(sse.min()))
     return best
+
+
+def _reference_css_fit(w, p, q, intercept, burn=None, x0=None, budget=200):
+    """``css_fit`` as it was on scipy's Nelder-Mead and ``signal.lfilter``:
+    the oracle the in-house search and the direct filter call must match
+    bit for bit."""
+    w = np.asarray(w, dtype=float)
+    if burn is None:
+        burn = p
+    n_eff = len(w) - burn
+    target = w[burn:]
+    lags = _lag_matrix(w, p, burn)
+    design = lags
+    if intercept:
+        design = np.column_stack([np.ones(n_eff), lags])
+    coef, sse_ar = _ols(design, target)
+    if intercept and len(coef):
+        c_ar, phi_ar = float(coef[0]), coef[1:]
+    else:
+        c_ar, phi_ar = 0.0, coef
+    if q == 0:
+        return c_ar, phi_ar, np.empty(0), sse_ar
+
+    def unpack(x):
+        off = 1 if intercept else 0
+        c = x[0] if intercept else 0.0
+        return float(c), x[off : off + p], x[off + p :]
+
+    def objective(x):
+        c, phi, theta = unpack(x)
+        u = target - c
+        if p:
+            u = u - lags @ phi
+        e = signal.lfilter([1.0], np.concatenate([[1.0], theta]), u)
+        sse = float(e @ e)
+        return sse if np.isfinite(sse) else 1e300
+
+    starts = []
+    if x0 is not None:
+        starts.append(np.asarray(x0, dtype=float))
+    else:
+        hr = _hannan_rissanen_start(w, p, q, intercept)
+        if hr is not None and len(hr) == p + q + (1 if intercept else 0):
+            starts.append(hr)
+        starts.append(
+            np.concatenate([[c_ar] if intercept else [], phi_ar, np.zeros(q)])
+        )
+    best_x = min(starts, key=objective)
+    best_sse = objective(best_x)
+    res = optimize.minimize(
+        objective,
+        best_x,
+        method="Nelder-Mead",
+        options={"maxfev": budget * len(best_x), "xatol": 1e-6, "fatol": 1e-10},
+    )
+    if float(res.fun) < best_sse:
+        best_x, best_sse = res.x, float(res.fun)
+    c, phi, theta = unpack(best_x)
+    return c, phi.copy(), theta.copy(), best_sse
 
 
 def holt_sse(series, params):
@@ -242,6 +310,48 @@ class TestCssObjective:
             _, _, theta, sse = css_fit(w, 0, q, False, burn=burn, x0=x0)
             assert sse <= prev_sse * (1 + 1e-6) + 1e-9
             prev_sse, prev_theta = sse, theta
+
+
+class TestCssOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        theta=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5),
+        u=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=150),
+    )
+    def test_ma_filter_is_lfilter(self, theta, u):
+        a = np.concatenate([[1.0], theta])
+        u = np.array(u)
+        expected = signal.lfilter([1.0], a, u)
+        assert _ma_filter(a, u).tobytes() == expected.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(25, 100),
+        integrated=st.booleans(),
+        p=st.integers(0, 5),
+        q=st.integers(0, 5),
+        intercept=st.booleans(),
+        selection=st.booleans(),
+        budget=st.sampled_from([1, 2, SELECTION_BUDGET, 200]),
+        warm=st.booleans(),
+    )
+    def test_fit_matches_reference(self, seed, n, integrated, p, q,
+                                   intercept, selection, budget, warm):
+        rng = np.random.default_rng(seed)
+        w = np.convolve(rng.normal(size=n + 2), [1.0, 0.6, -0.3])[:n]
+        w = 3.0 + (np.cumsum(w) if integrated else w)
+        burn = 5 if selection else p
+        x0 = None
+        if warm:
+            x0 = rng.normal(scale=0.3, size=p + q + (1 if intercept else 0))
+        got = css_fit(w, p, q, intercept, burn=burn, x0=x0, budget=budget)
+        want = _reference_css_fit(w, p, q, intercept, burn=burn, x0=x0,
+                                  budget=budget)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+        assert got[3] == want[3]
 
 
 class TestContract:
