@@ -20,6 +20,7 @@ import sys
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import EpicastError, ValidationError
 from .evaluate import monitor, shelf_life
 from .hybrid import MODEL_TAGS, fit_tagged_models
 from .neural import TdnnConfig
+from .parallel import map_units
 
 log = logging.getLogger("epicast")
 
@@ -166,22 +168,44 @@ def cmd_forecast(args) -> list[Path]:
     return _emit(outputs, optional=[out_dir / "forecast.svg"])
 
 
+class _SeriesFit(NamedTuple):
+    """What the adjustment reads of one fitted series."""
+
+    fitted: np.ndarray  # one-step fitted values, NaN where undefined
+    forecast: float  # next-day point forecast
+
+
 def _fit_panel(panel: HierarchicalPanel, model: str, config: TdnnConfig,
                fit_one=None):
-    """Fit the chosen model nationally and per state; states whose fit fails
-    are excluded (reported), the rest carry the correction."""
+    """Fit the chosen model nationally and per state, one unit each on
+    :func:`map_units`. Returns the national ``_SeriesFit``, a
+    ``(series, _SeriesFit)`` pair per state that fit, and a ``(name,
+    reason)`` pair per state whose fit failed; a national failure raises."""
     if fit_one is None:
         def fit_one(series):
             return fit_tagged_models(series, [model], config)[
                 model.strip().lower()
             ]
-    national = fit_one(panel.national)
-    states, excluded = [], []
-    for s in panel.states:
+    units = [panel.national, *panel.states]
+
+    def fit_unit(index: int):
         try:
-            states.append((s, fit_one(s)))
+            fitted_model = fit_one(units[index])
         except EpicastError as exc:
-            excluded.append((s.name, str(exc)))
+            if index == 0:
+                raise
+            return str(exc)
+        return _SeriesFit(
+            fitted_model.fitted(), float(fitted_model.forecast(1)[0])
+        )
+
+    national, *results = map_units(fit_unit, len(units))
+    states, excluded = [], []
+    for s, result in zip(panel.states, results):
+        if isinstance(result, str):
+            excluded.append((s.name, result))
+        else:
+            states.append((s, result))
     if not states:
         raise ValidationError("every state failed to fit; nothing to adjust")
     return national, states, excluded
@@ -197,41 +221,30 @@ def cmd_adjust(args, fit_one=None) -> list[Path]:
     panel = parse_panel_csv(args.input)
     config = _tdnn_config(args)
     mode = _parse_weight_mode(args.weight_mode)
-    national_model, state_models, excluded = _fit_panel(
+    national, state_fits, excluded = _fit_panel(
         panel, args.model, config, fit_one=fit_one
     )
     for name, reason in excluded:
         log.warning("excluding %s: %s", name, reason)
 
-    nat_fitted = national_model.fitted()
-    nat_obs, nat_fit = _last_defined(panel.national, nat_fitted)
-    state_forecasts = np.array(
-        [float(m.forecast(1)[0]) for _, m in state_models]
-    )
-    obs_fit_pairs = [
-        _last_defined(s, m.fitted()) for s, m in state_models
-    ]
+    nat_obs, nat_fit = _last_defined(panel.national, national.fitted)
+    state_forecasts = np.array([f.forecast for _, f in state_fits])
+    obs_fit_pairs = [_last_defined(s, f.fitted) for s, f in state_fits]
     last_obs = np.array([pair[0] for pair in obs_fit_pairs])
     last_fit = np.array([pair[1] for pair in obs_fit_pairs])
 
     if mode["mode"] == "last":
         weights = adjust_mod.compute_weights(last_obs, last_fit)
     else:
-        depth = min(
-            int(np.isfinite(m.fitted()).sum()) for _, m in state_models
-        )
-        obs_hist = np.column_stack(
-            [s.values[-depth:] for s, _ in state_models]
-        )
-        fit_hist = np.column_stack(
-            [m.fitted()[-depth:] for _, m in state_models]
-        )
+        depth = min(int(np.isfinite(f.fitted).sum()) for _, f in state_fits)
+        obs_hist = np.column_stack([s.values[-depth:] for s, _ in state_fits])
+        fit_hist = np.column_stack([f.fitted[-depth:] for _, f in state_fits])
         weights = adjust_mod.compute_weights_history(obs_hist, fit_hist, **mode)
 
     adjustment = adjust_mod.adjust_forecasts(
         adjust_mod.AdjustmentInput(
             state_forecasts=state_forecasts,
-            national_forecast=float(national_model.forecast(1)[0]),
+            national_forecast=national.forecast,
             last_observed_states=last_obs,
             last_fitted_states=last_fit,
             last_observed_national=float(nat_obs),
@@ -241,7 +254,7 @@ def cmd_adjust(args, fit_one=None) -> list[Path]:
     )
     rows = []
     for (s, _), unadj, w, corr in zip(
-        state_models,
+        state_fits,
         state_forecasts,
         adjustment.weights,
         adjustment.corrected_state_forecasts - state_forecasts,
@@ -249,7 +262,7 @@ def cmd_adjust(args, fit_one=None) -> list[Path]:
         rows.append(
             [s.name, _fmt(unadj), _fmt(w), _fmt(corr), _fmt(unadj + corr)]
         )
-    nat_unadj = float(national_model.forecast(1)[0])
+    nat_unadj = national.forecast
     rows.append(
         [
             panel.national.name,

@@ -114,7 +114,10 @@ def fit_growth_rate(series: UnivariateSeries, window=None):
 
 def _gamma_interval_r0(r: float, gi: GenerationInterval) -> float:
     base = 1.0 + r * gi.mu / gi.kappa
-    return base**gi.kappa
+    try:
+        return base**gi.kappa
+    except OverflowError:  # a float power raises where a product gives inf
+        return math.inf
 
 
 def r0_from_growth(
@@ -124,7 +127,8 @@ def r0_from_growth(
 
     The confidence interval evaluates the same map at ``r +/- 1.96 *
     stderr``; an interval endpoint outside the formula's domain collapses
-    to the limiting value 0.
+    to the limiting value 0. An estimate or bound beyond the float range
+    raises :class:`DomainError`.
     """
     if 1.0 + r * gi.mu / gi.kappa <= 0:
         raise DomainError(
@@ -138,12 +142,19 @@ def r0_from_growth(
         return _gamma_interval_r0(rate, gi)
 
     r0 = _gamma_interval_r0(r, gi)
+    ci_lower = bounded(r - Z_95 * stderr)
+    ci_upper = bounded(r + Z_95 * stderr)
+    if not all(math.isfinite(v) for v in (r0, ci_lower, ci_upper)):
+        raise DomainError(
+            f"R0 or its interval is not finite for growth rate {r}/day and a "
+            f"generation interval with mean {gi.mu} and shape {gi.kappa}"
+        )
     return R0Estimate(
         growth_rate=r,
         r_stderr=stderr,
         r0=r0,
-        ci_lower=bounded(r - Z_95 * stderr),
-        ci_upper=bounded(r + Z_95 * stderr),
+        ci_lower=ci_lower,
+        ci_upper=ci_upper,
         fit_mse=mse,
     )
 
@@ -244,8 +255,9 @@ def sir_fit(
         return sse if math.isfinite(sse) else 1e300
 
     x0 = np.array([0.2, 0.1, max(float(observed[0]), 1e-8)])
-    x, fun = nelder_mead(objective, x0, maxfev=600, xatol=1e-8, fatol=1e-12)
-    best = np.clip(x if fun <= objective(x0) else x0, lo, hi)
+    # x0 is the search's first vertex, so its result is never worse than x0
+    x, _ = nelder_mead(objective, x0, maxfev=600, xatol=1e-8, fatol=1e-12)
+    best = np.clip(x, lo, hi)
     sse = trajectory_sse(best)
     if not math.isfinite(sse):
         raise FitError(

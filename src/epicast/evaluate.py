@@ -23,6 +23,7 @@ from .core import UnivariateSeries
 from .errors import InsufficientDataError, ValidationError
 from .hybrid import fit_tagged_models
 from .neural import TdnnConfig
+from .parallel import map_units
 
 RECENCY_DECAY = 0.9
 
@@ -85,6 +86,34 @@ class MonitorReport:
         return max(self.models, key=lambda tag: self.weighted_share[tag])
 
 
+def _score_origin(
+    series: UnivariateSeries,
+    origin: int,
+    models: list,
+    k: int,
+    seed: int,
+    config: TdnnConfig,
+) -> tuple[WindowMetricRecord, ...]:
+    """Refit the models on observations 1..origin-1 with seed ``seed +
+    origin`` and score their k-step forecasts against observations
+    origin..origin+k-1, one record per entry of ``models``."""
+    train = series.prefix(origin - 1)
+    actual = series.values[origin - 1 : origin - 1 + k]
+    fitted = fit_tagged_models(train, models, replace(config, seed=seed + origin))
+    records = []
+    for tag in models:
+        forecast = fitted[tag].forecast(k)
+        records.append(
+            WindowMetricRecord(
+                origin=origin,
+                model=tag,
+                rmse=rmse(actual, forecast),
+                mae=mae(actual, forecast),
+            )
+        )
+    return tuple(records)
+
+
 def monitor(
     series: UnivariateSeries,
     models,
@@ -97,7 +126,8 @@ def monitor(
     Origins run T = [t/2]+1 .. t-k+1 (1-indexed); each refits the models on
     observations 1..T-1 with a per-origin seed ``seed + T`` and scores the
     k-step forecast against observations T..T+k-1. Ties in the per-origin
-    argmin go to the earlier model in ``models``.
+    argmin go to the earlier model in ``models``. The origins are
+    independent, so they run on :func:`epicast.parallel.map_units`.
     """
     models = [tag.strip().lower() for tag in models]
     if not models:
@@ -112,30 +142,22 @@ def monitor(
     config = config or TdnnConfig(seed=seed)
     half = t // 2
     origins = tuple(range(half + 1, t - k + 2))
+    scored = map_units(
+        lambda i: _score_origin(series, origins[i], models, k, seed, config),
+        len(origins),
+    )
     records = []
     psi = {}
     wins = {tag: 0 for tag in models}
     weighted = {tag: 0.0 for tag in models}
     t_max = origins[-1]
-    for origin in origins:
-        train = series.prefix(origin - 1)
-        actual = series.values[origin - 1 : origin - 1 + k]
-        fitted = fit_tagged_models(
-            train, models, replace(config, seed=seed + origin)
-        )
+    for origin, origin_records in zip(origins, scored):
         best_tag = None
         best_m = math.inf
-        for tag in models:
-            forecast = fitted[tag].forecast(k)
-            record = WindowMetricRecord(
-                origin=origin,
-                model=tag,
-                rmse=rmse(actual, forecast),
-                mae=mae(actual, forecast),
-            )
+        for record in origin_records:
             records.append(record)
             if record.m < best_m:
-                best_tag, best_m = tag, record.m
+                best_tag, best_m = record.model, record.m
         psi[origin] = best_tag
         wins[best_tag] += 1
         weighted[best_tag] += RECENCY_DECAY ** (t_max - origin)

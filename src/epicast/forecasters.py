@@ -14,11 +14,11 @@ one-step error for any smoothing constants, which the tests exploit.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import _sigtools
 
 from .core import UnivariateSeries
 from .errors import FitError, InsufficientDataError, ValidationError
@@ -199,6 +199,16 @@ def _lag_matrix(w: np.ndarray, p: int, burn: int) -> np.ndarray:
 _FILTER_NUMERATOR = np.ones(1)
 
 
+@functools.cache
+def _linear_filter():
+    """scipy's linear-filter kernel, imported on first use: importing
+    ``scipy.signal`` takes about a second, and only ARIMA fits with an MA
+    part need it."""
+    from scipy.signal import _sigtools
+
+    return _sigtools._linear_filter
+
+
 def _ma_filter(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``signal.lfilter([1.0], a, u)`` for a float64 ``a`` with ``a[0] == 1``
     and ``len(a) > 1``: innovations of an MA polynomial ``a = [1, theta...]``.
@@ -208,7 +218,7 @@ def _ma_filter(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     search calls it hundreds of thousands of times, and the wrapper's checks
     and array-API dispatch took longer than the filter itself.
     """
-    return _sigtools._linear_filter(_FILTER_NUMERATOR, a, u, -1)
+    return _linear_filter()(_FILTER_NUMERATOR, a, u, -1)
 
 
 def css_residuals(
@@ -309,6 +319,7 @@ def css_fit(
 
     ma_poly = np.empty(q + 1)  # [1, theta...], refilled on every call
     ma_poly[0] = 1.0
+    linear_filter = _linear_filter()  # _ma_filter's kernel, bound once
 
     def objective(x: np.ndarray) -> float:
         # subtracting a zero intercept is exact, so without one it is skipped
@@ -316,7 +327,7 @@ def css_fit(
         if p:
             u = u - lags @ x[off : off + p]
         ma_poly[1:] = x[off + p :]
-        e = _ma_filter(ma_poly, u)
+        e = linear_filter(_FILTER_NUMERATOR, ma_poly, u, -1)
         sse = float(e @ e)
         return sse if math.isfinite(sse) else 1e300
 

@@ -320,6 +320,18 @@ class TestR0Command:
         assert_one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("mean, shape", [("1e200", "1e-200"),
+                                             ("1e5", "1000")])
+    def test_overflowing_r0_exits_one(self, tmp_path, capsys, mean, shape):
+        t = np.arange(60)
+        path = write_series_csv(tmp_path, make_series(10.0 * np.exp(0.05 * t)))
+        out = tmp_path / "out"
+        assert run(["r0", "--input", path, "--population", "1e9",
+                    "--gi-mean", mean, "--gi-shape", shape,
+                    "--out", out]) == 1
+        assert_one_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--model", "--lags", "--hidden",
                                       "--repeats", "--epochs"])
     def test_model_flags_rejected(self, tmp_path, capsys, flag):

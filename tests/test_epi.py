@@ -134,6 +134,15 @@ class TestR0FromGrowth:
         with pytest.raises(ValidationError, match="finite"):
             GenerationInterval(mu, kappa)
 
+    @pytest.mark.parametrize("r, mu, kappa, stderr", [
+        (0.05, 1e200, 1e-200, 0.0),  # r * mu / kappa overflows to inf
+        (0.05, 1e5, 1000.0, 0.0),  # the power overflows
+        (0.05, 5.0, 500.0, 1e3),  # only the upper bound overflows
+    ])
+    def test_overflow_raises_domain_error(self, r, mu, kappa, stderr):
+        with pytest.raises(DomainError, match="not finite"):
+            r0_from_growth(r, GenerationInterval(mu, kappa), stderr=stderr)
+
     def test_estimate_invariant(self):
         with pytest.raises(ValidationError):
             R0Estimate(
@@ -221,6 +230,26 @@ class TestSirFit:
         monkeypatch.setattr(epi, "sir_simulate", nan_simulate)
         with pytest.raises(FitError, match="SIR search failed"):
             sir_fit(make_series(np.full(30, 10.0)), 1e6)
+
+    def test_one_simulation_beyond_the_search(self, monkeypatch, india):
+        # the final trajectory is the only simulation outside the search
+        counts = {"search": 0, "simulate": 0}
+        search, simulate = epi.nelder_mead, epi.sir_simulate
+
+        def counted_search(f, *args, **kwargs):
+            def counted_f(x):
+                counts["search"] += 1
+                return f(x)
+            return search(counted_f, *args, **kwargs)
+
+        def counted_simulate(*args, **kwargs):
+            counts["simulate"] += 1
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(epi, "nelder_mead", counted_search)
+        monkeypatch.setattr(epi, "sir_simulate", counted_simulate)
+        sir_fit(india.prefix(60), 1.38e9)
+        assert counts["simulate"] == counts["search"] + 1
 
     def test_fixture_sanity_band(self, india):
         fit = sir_fit(india, 1.38e9)
