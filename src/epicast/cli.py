@@ -29,6 +29,7 @@ from . import epi
 from .core import HierarchicalPanel, parse_panel_csv, parse_series_csv
 from .errors import EpicastError, ValidationError
 from .evaluate import monitor, shelf_life
+from .forecasters import import_kernels
 from .hybrid import MODEL_TAGS, fit_tagged_models
 from .neural import TdnnConfig
 from .parallel import map_units
@@ -187,6 +188,7 @@ def _fit_panel(panel: HierarchicalPanel, model: str, config: TdnnConfig,
                 model.strip().lower()
             ]
     units = [panel.national, *panel.states]
+    import_kernels([model])
 
     def fit_unit(index: int):
         try:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import UnivariateSeries
 from .errors import InsufficientDataError, ValidationError
+from .forecasters import import_kernels
 from .hybrid import fit_tagged_models
 from .neural import TdnnConfig
 from .parallel import map_units
@@ -142,6 +143,7 @@ def monitor(
     config = config or TdnnConfig(seed=seed)
     half = t // 2
     origins = tuple(range(half + 1, t - k + 2))
+    import_kernels(models)
     scored = map_units(
         lambda i: _score_origin(series, origins[i], models, k, seed, config),
         len(origins),

@@ -209,6 +209,14 @@ def _linear_filter():
     return _sigtools._linear_filter
 
 
+def import_kernels(tags) -> None:
+    """Import now the kernel that fitting an ARIMA tag among ``tags`` loads
+    on first use. Workers forked after this share its pages instead of each
+    importing ``scipy.signal`` again."""
+    if any(tag.strip().lower().startswith("arima") for tag in tags):
+        _linear_filter()
+
+
 def _ma_filter(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``signal.lfilter([1.0], a, u)`` for a float64 ``a`` with ``a[0] == 1``
     and ``len(a) > 1``: innovations of an MA polynomial ``a = [1, theta...]``.

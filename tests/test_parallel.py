@@ -1,15 +1,19 @@
 """The fork pool behind monitor and adjust: results in unit order, the same
 bytes for any worker count, and failures that end a run cleanly."""
 
+import functools
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
 
 import test_cli
 from epicast import cli, evaluate, parallel
+from epicast.core import load_india_series
 from epicast.errors import EpicastError, FitError
 from epicast.hybrid import fit_tagged_models
 from epicast.neural import TdnnConfig
@@ -25,6 +29,8 @@ def set_workers(monkeypatch, count):
 
 @pytest.fixture
 def two_workers(monkeypatch):
+    # a test that kills a worker would end this process if the units ran here
+    assert parallel._may_fork()
     set_workers(monkeypatch, 2)
 
 
@@ -62,6 +68,65 @@ class TestMapUnits:
 
         with pytest.raises(EpicastError, match="worker process died"):
             map_units(fn, 4)
+
+
+def _monitor_records(days):
+    """Monitor records of holt on the first ``days`` fixture days."""
+    series = load_india_series().prefix(days)
+    return evaluate.monitor(series, ["holt"], k=4, seed=3).records
+
+
+class TestInProcessWhereForkIsUnsafe:
+    """Units run in this process, where a fork would fail, deadlock or hide
+    the fits from an observer in the caller's process."""
+
+    def test_daemonic_worker(self, two_workers):
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.apply_async(_monitor_records, (24,)).get(timeout=120)
+        assert got == _monitor_records(24)
+
+    def test_another_thread_running(self, two_workers):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            pids = map_units(lambda i: os.getpid(), 3)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert pids == [os.getpid()] * 3
+        assert os.getpid() not in map_units(lambda i: os.getpid(), 3)
+
+    @staticmethod
+    def _manual_wrapper(fn, calls):
+        def traced(*args, **kwargs):
+            calls.append(len(args[0]))
+            return fn(*args, **kwargs)
+
+        traced.__wrapped__ = fn
+        return traced
+
+    @staticmethod
+    def _functools_wrapper(fn, calls):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return fn(*args, **kwargs)
+
+        return counted
+
+    @pytest.mark.parametrize("wrap", ["_manual_wrapper", "_functools_wrapper"])
+    def test_wrapped_package_function(self, monkeypatch, two_workers, wrap):
+        expected = _monitor_records(24)
+        calls = []
+        monkeypatch.setattr(evaluate, "fit_tagged_models", getattr(self, wrap)(
+            evaluate.fit_tagged_models, calls))
+        assert _monitor_records(24) == expected
+        assert calls == [origin - 1 for origin in range(13, 22)]
+        monkeypatch.undo()
+        set_workers(monkeypatch, 2)
+        assert os.getpid() not in map_units(lambda i: os.getpid(), 2)
 
 
 def outputs(out):
@@ -186,10 +251,8 @@ class TestFailuresInWorkers:
         assert not out.exists()
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.signal takes about a second to import and only ARIMA needs it
-    code = ("import sys, epicast.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def python_output(code):
+    """Standard output of ``code`` run in a fresh interpreter."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -198,4 +261,26 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120,
                           check=True)
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.signal takes about a second to import and only ARIMA needs it
+    code = ("import sys, epicast.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert python_output(code) == "[]\n"
+
+
+def test_arima_kernel_imported_before_the_fork():
+    # so that the workers share scipy.signal rather than each importing it
+    code = """if True:
+        import sys
+        from epicast import evaluate, parallel
+        from epicast.core import load_india_series
+        parallel.usable_cpus = lambda: 2
+        series = load_india_series().prefix(40)
+        for tag in ("holt", "arima"):
+            evaluate.monitor(series, [tag], k=4)
+            print(tag, "scipy.signal" in sys.modules)
+    """
+    assert python_output(code) == "holt False\narima True\n"
