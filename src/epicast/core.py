@@ -34,6 +34,21 @@ def _as_date(obj) -> datetime.date:
     raise ValidationError(f"expected a calendar date, got {type(obj).__name__}")
 
 
+def _rebuild(cls, fields: dict):
+    """Unpickle or copy an immutable type without rerunning its checks.
+
+    The fields were validated when the original was built, so going round
+    ``__init__`` keeps a copy from warning again about negative values; the
+    arrays are made read-only again, since pickling drops that flag.
+    """
+    obj = object.__new__(cls)
+    for key, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, key, value)
+    return obj
+
+
 class UnivariateSeries:
     """A named daily count series on a gap-free, strictly increasing date index.
 
@@ -84,6 +99,10 @@ class UnivariateSeries:
 
     def __setattr__(self, key, value):
         raise AttributeError("UnivariateSeries is immutable")
+
+    def __reduce__(self):
+        fields = {key: getattr(self, key) for key in self.__slots__}
+        return _rebuild, (type(self), fields)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -155,6 +174,10 @@ class HierarchicalPanel:
 
     def __setattr__(self, key, value):
         raise AttributeError("HierarchicalPanel is immutable")
+
+    def __reduce__(self):
+        fields = {key: getattr(self, key) for key in self.__slots__}
+        return _rebuild, (type(self), fields)
 
     @property
     def n(self) -> int:

@@ -181,6 +181,15 @@ def sir_simulate(
     overhead of numpy dominates. Each line keeps the operation order of the
     vector form ``x + (dt/6) * (k1 + 2*k2 + 2*k3 + k4)``, so the result is
     bit-identical to it (float64 rounds each operation alike either way).
+
+    The S stages are written without their negation: ``s - half * f``
+    stands for ``s + half * (-f)``, and the final update subtracts the
+    weighted sum of the flows ``f`` instead of adding that of ``-f``.
+    Round-to-nearest is symmetric in sign, so every finite value and every
+    infinity keeps its bits; only the sign bit of a NaN from an overflowing
+    trajectory may differ. Literals are ``2.0`` because CPython specialises
+    only float-by-float products, and each value is assigned on its own line
+    because packing and unpacking tuples costs more than the arithmetic.
     """
     if beta < 0 or gamma <= 0:
         raise ValidationError("need beta >= 0 and gamma > 0")
@@ -202,19 +211,22 @@ def sir_simulate(
     s_out, i_out = [s], [i]
     for _ in range(days):
         for _ in range(substeps):
-            flow = beta * s * i
-            ks1, ki1 = -flow, flow - gamma * i
-            s2, i2 = s + half * ks1, i + half * ki1
-            flow = beta * s2 * i2
-            ks2, ki2 = -flow, flow - gamma * i2
-            s3, i3 = s + half * ks2, i + half * ki2
-            flow = beta * s3 * i3
-            ks3, ki3 = -flow, flow - gamma * i3
-            s4, i4 = s + dt * ks3, i + dt * ki3
-            flow = beta * s4 * i4
-            ks4, ki4 = -flow, flow - gamma * i4
-            s = s + sixth * (((ks1 + 2 * ks2) + 2 * ks3) + ks4)
-            i = i + sixth * (((ki1 + 2 * ki2) + 2 * ki3) + ki4)
+            f1 = beta * s * i
+            g1 = f1 - gamma * i
+            s2 = s - half * f1
+            i2 = i + half * g1
+            f2 = beta * s2 * i2
+            g2 = f2 - gamma * i2
+            s3 = s - half * f2
+            i3 = i + half * g2
+            f3 = beta * s3 * i3
+            g3 = f3 - gamma * i3
+            s4 = s - dt * f3
+            i4 = i + dt * g3
+            f4 = beta * s4 * i4
+            g4 = f4 - gamma * i4
+            s = s - sixth * (((f1 + 2.0 * f2) + 2.0 * f3) + f4)
+            i = i + sixth * (((g1 + 2.0 * g2) + 2.0 * g3) + g4)
         s_out.append(s)
         i_out.append(i)
     recovered0 = 1.0 - s0 - i0

@@ -70,44 +70,16 @@ def _forward(weights: dict, x: np.ndarray) -> np.ndarray:
     return (hidden @ weights["w2"][:, :, None])[:, :, 0] + weights["b2"][:, None]
 
 
-def _stacked_loss_and_grads(weights: dict, x: np.ndarray, y: np.ndarray):
-    """Losses and gradients over stacked nets.
-
-    Shapes: x (C, N, p), y (C, N); weights w1 (C, R, p, H), b1 (C, R, H),
-    w2 (C, R, H), b2 (C, R). Returns losses (C, R) and gradient arrays
-    matching the weight shapes.
-    """
-    n = y.shape[-1]
-    pre = x[:, None] @ weights["w1"] + weights["b1"][:, :, None, :]
-    hidden = _sigmoid(pre)
-    pred = (hidden @ weights["w2"][..., None])[..., 0] + weights["b2"][..., None]
-    err = pred - y[:, None, :]
-    losses = np.mean(err * err, axis=-1)
-    d_pred = 2.0 * err / n
-    d_w2 = (hidden.transpose(0, 1, 3, 2) @ d_pred[..., None])[..., 0]
-    d_b2 = d_pred.sum(axis=-1)
-    d_pre = (
-        d_pred[..., None] * weights["w2"][:, :, None, :] * hidden * (1.0 - hidden)
-    )
-    d_w1 = x.transpose(0, 2, 1)[:, None] @ d_pre
-    d_b1 = d_pre.sum(axis=2)
-    grads = {"w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2}
-    return losses, grads
-
-
-def _loss_and_grads(weights: dict, x: np.ndarray, y: np.ndarray):
-    """Single-series view of the stacked step: weights (R, ...), x (N, p)."""
-    stacked = {key: weights[key][None] for key in weights}
-    losses, grads = _stacked_loss_and_grads(stacked, x[None], y[None])
-    return losses[0], {key: grads[key][0] for key in grads}
-
-
 def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
              component_labels=None) -> dict:
     """Run the gradient-descent epochs over stacked nets.
 
-    Same arithmetic as :func:`_stacked_loss_and_grads` reordered for speed:
-    the hidden-layer bias rides as an extra input column so its gradient
+    Shapes: x (C, N, p), y (C, N); weights w1 (C, R, p, H), b1 (C, R, H),
+    w2 (C, R, H), b2 (C, R). Each epoch steps every (component, restart)
+    pair down the gradient of its mean squared error. The readable form of
+    that gradient is ``stacked_loss_and_grads`` in ``tests/oracles.py``;
+    this loop does the same arithmetic reordered for speed: the
+    hidden-layer bias rides as an extra input column so its gradient
     falls out of the weight matmul, buffers are preallocated, and the
     divergence check runs on the (small) gradient tensors. The epoch loop
     dominates the cost of every fit in this package.
@@ -295,6 +267,10 @@ def wbann_fit(residuals, config: TdnnConfig) -> WbannModel:
     n = len(e)
     if n < 16:
         raise InsufficientDataError(f"need at least 16 residuals, got {n}")
+    if n <= config.lags:
+        raise InsufficientDataError(
+            f"need more than lags = {config.lags} residuals, got {n}"
+        )
     levels = choose_levels(n)
     mra = modwt_haar(e, levels)
     components = mra.components

@@ -10,8 +10,19 @@ as the oracle.
 What it drops is scipy's per-call overhead, which exceeds the cost of a
 cheap objective: the wrapper's copy of every trial point and its scalar
 check, the intermediate result object and callback check per iteration,
-and the ``np.take``/``np.max``/``np.argsort`` function layers (fancy
-indexing and the array methods do the same work).
+and the ``np.take``/``np.max``/``np.argsort`` function layers (the array
+methods do the same work). Each remaining shortcut keeps the iterates:
+
+* The stopping test checks the value spread first, as
+  ``fsim[-1] - fsim[0] <= fatol``. ``fsim`` is sorted with NaN last and
+  IEEE rounding is monotone, so no difference to the best value exceeds
+  that one, and this equals scipy's max-abs test; the vertex spread is
+  computed only when it holds.
+* A step makes at most n + 2 calls (reflection, contraction, shrink), so a
+  step that starts at least n + 2 calls short of the budget calls ``f``
+  directly; only the last steps go through the budget check.
+* ``RHO`` is 1, so the reflection uses the worst vertex itself instead of
+  its product with ``RHO``, which is an exact copy.
 """
 
 from __future__ import annotations
@@ -58,40 +69,42 @@ def nelder_mead(
 
     ncalls = 0
 
-    def func(x: np.ndarray) -> float:
-        nonlocal ncalls
+    def checked(x: np.ndarray) -> float:
         if ncalls >= maxfev:
             raise _BudgetExhausted
-        ncalls += 1
         return f(x)
 
     fsim = np.full(n + 1, np.inf)
     try:
         for k in range(n + 1):
-            fsim[k] = func(sim[k])
+            fsim[k] = checked(sim[k])
+            ncalls += 1
     except _BudgetExhausted:
         pass
     ind = fsim.argsort()
-    sim = sim[ind]
-    fsim = fsim[ind]
+    sim = sim.take(ind, 0)
+    fsim = fsim.take(ind)
     ind = fsim.argsort()
-    fsim = fsim[ind]
-    sim = sim[ind]
+    fsim = fsim.take(ind)
+    sim = sim.take(ind, 0)
 
     while ncalls < maxfev:
+        if (fsim[-1] - fsim[0] <= fatol
+                and np.abs(sim[1:] - sim[0]).max() <= xatol):
+            break
+        # a step makes at most n + 2 calls (reflection, contraction, shrink)
+        call = f if ncalls + n + 2 <= maxfev else checked
         try:
-            if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
-                break
-
             xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + RHO) * xbar - RHO * sim[-1]
-            fxr = func(xr)
+            xr = (1 + RHO) * xbar - sim[-1]
+            fxr = call(xr)
+            ncalls += 1
             doshrink = False
 
             if fxr < fsim[0]:
                 xe = (1 + RHO * CHI) * xbar - RHO * CHI * sim[-1]
-                fxe = func(xe)
+                fxe = call(xe)
+                ncalls += 1
                 if fxe < fxr:
                     sim[-1] = xe
                     fsim[-1] = fxe
@@ -104,7 +117,8 @@ def nelder_mead(
             elif fxr < fsim[-1]:
                 # outside contraction
                 xc = (1 + PSI * RHO) * xbar - PSI * RHO * sim[-1]
-                fxc = func(xc)
+                fxc = call(xc)
+                ncalls += 1
                 if fxc <= fxr:
                     sim[-1] = xc
                     fsim[-1] = fxc
@@ -113,7 +127,8 @@ def nelder_mead(
             else:
                 # inside contraction
                 xcc = (1 - PSI) * xbar + PSI * sim[-1]
-                fxcc = func(xcc)
+                fxcc = call(xcc)
+                ncalls += 1
                 if fxcc < fsim[-1]:
                     sim[-1] = xcc
                     fsim[-1] = fxcc
@@ -123,11 +138,12 @@ def nelder_mead(
             if doshrink:
                 for j in range(1, n + 1):
                     sim[j] = sim[0] + SIGMA * (sim[j] - sim[0])
-                    fsim[j] = func(sim[j])
+                    fsim[j] = call(sim[j])
+                    ncalls += 1
         except _BudgetExhausted:
             pass
         ind = fsim.argsort()
-        sim = sim[ind]
-        fsim = fsim[ind]
+        sim = sim.take(ind, 0)
+        fsim = fsim.take(ind)
 
     return sim[0], fsim.min()

@@ -124,12 +124,3 @@ def imodwt_haar(mra: WaveletMra) -> np.ndarray:
             raise ValidationError(f"level {j} coefficients have length {len(w)}, "
                                   f"expected {n}")
     return _synthesize(mra.wavelet_coeffs, mra.scaling_coeffs)
-
-
-def coefficient_energy(mra: WaveletMra) -> float:
-    """Total energy of the coefficient representation; equals the input
-    energy for this filter scaling."""
-    total = float(np.sum(mra.scaling_coeffs**2))
-    for w in mra.wavelet_coeffs:
-        total += float(np.sum(w**2))
-    return total

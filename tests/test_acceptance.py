@@ -18,10 +18,11 @@ from epicast.epi import GenerationInterval, r0_from_growth, sir_fit, sir_simulat
 from epicast.evaluate import ape, monitor, shelf_life_from_apes
 from epicast.forecasters import HoltParams, holt_filter, holt_fit, holt_forecast
 from epicast.hybrid import hybrid_fit, hybrid_fitted, hybrid_forecast
-from epicast.neural import TdnnConfig, _init_weights, _loss_and_grads, wbann_forecast
-from epicast.wavelet import choose_levels, coefficient_energy, imodwt_haar, modwt_haar
+from epicast.neural import TdnnConfig, _init_weights, wbann_forecast
+from epicast.wavelet import choose_levels, imodwt_haar, modwt_haar
 
 from conftest import linear_series, make_series
+from oracles import coefficient_energy, loss_and_grads
 
 
 def report(criterion, ok, detail=""):
@@ -142,16 +143,16 @@ class TestCriterion4Gradient:
             weights = _init_weights(
                 np.random.default_rng(int(rng.integers(0, 1 << 31))), 1, p, h
             )
-            _, grads = _loss_and_grads(weights, x, y)
+            _, grads = loss_and_grads(weights, x, y)
             for key in weights:
                 flat = weights[key].ravel()
                 gflat = grads[key].ravel()
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + eps
-                    up, _ = _loss_and_grads(weights, x, y)
+                    up, _ = loss_and_grads(weights, x, y)
                     flat[i] = orig - eps
-                    down, _ = _loss_and_grads(weights, x, y)
+                    down, _ = loss_and_grads(weights, x, y)
                     flat[i] = orig
                     fd = (up[0] - down[0]) / (2 * eps)
                     denom = max(abs(fd), 1e-8)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from epicast.cli import build_parser, cmd_adjust, main
+from epicast.core import fixture_path
 from epicast.errors import EpicastError
 
 from conftest import linear_series, make_series
@@ -176,6 +177,32 @@ class TestAdjustCommand:
         weights = [float(r[2]) for r in rows[1:-1]]
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
         assert "kerala" in (out / "exclusions.txt").read_text()
+
+
+    def test_state_with_too_many_lags_is_excluded(self, tmp_path, panel):
+        # 302 lags leave no training pair in kerala's 302 Holt residuals
+        from epicast.hybrid import fit_tagged_models
+        from epicast.neural import TdnnConfig
+
+        path = tmp_path / "panel.csv"
+        panel.to_csv(path)
+
+        def fit(series):
+            lags = 302 if series.name == "kerala" else 4
+            config = TdnnConfig(lags=lags, repeats=1, epochs=5, seed=1)
+            return fit_tagged_models(series, ["holt-wbann"],
+                                     config)["holt-wbann"]
+
+        out = tmp_path / "out"
+        args = SimpleNamespace(
+            input=str(path), model="holt-wbann", seed=1, out=str(out),
+            lags=None, hidden=None, repeats=None, epochs=None,
+            weight_mode="last",
+        )
+        cmd_adjust(args, fit_one=fit)
+        names = [r[0] for r in read_csv(out / "adjustment.csv")[1:-1]]
+        assert names == [s.name for s in panel.states if s.name != "kerala"]
+        assert "lags = 302" in (out / "exclusions.txt").read_text()
 
 
 class TestMonitorCommand:
@@ -356,6 +383,16 @@ class TestFailureModes:
         out = tmp_path / "out"
         assert run(["forecast", "--input", path, "--model", "prophet",
                     "--out", out]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model, lags", [("holt-wbann", 302),
+                                             ("arima-wbf", 300)])
+    def test_too_many_lags_exits_one(self, tmp_path, capsys, model, lags):
+        out = tmp_path / "out"
+        assert run(["forecast", "--input", fixture_path("india_confirmed.csv"),
+                    "--model", model, "--lags", lags, "--repeats", 1,
+                    "--epochs", 2, "--out", out]) == 1
+        assert_one_error_line(capsys)
         assert not out.exists()
 
     def test_log_env_variable(self, tmp_path, monkeypatch):

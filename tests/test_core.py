@@ -1,4 +1,7 @@
+import copy
 import datetime
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +174,46 @@ class TestSeriesInvariants:
         b = make_series([1.0, 2.0], name="b", start=datetime.date(2020, 3, 15))
         with pytest.raises(ValidationError):
             HierarchicalPanel(a, [b])
+
+
+COPIES = {
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+class TestCopies:
+    """Pickling and copying rebuild the immutable types as they were, without
+    rerunning their checks."""
+
+    def test_series_round_trip(self, how):
+        with pytest.warns(NegativeValueWarning):
+            s = make_series([5.0, -2.0, 3.0], name="corrected")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = COPIES[how](s)
+        assert t == s and t.name == "corrected" and t.has_negatives
+        assert t.values.tobytes() == s.values.tobytes()
+        assert t.values is not s.values
+        with pytest.raises(ValueError):
+            t.values[0] = 9.0
+        with pytest.raises(AttributeError):
+            t.name = "other"
+
+    def test_panel_round_trip(self, how, panel):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = COPIES[how](panel)
+        assert q == panel and q.n == panel.n
+        assert q.defect.tobytes() == panel.defect.tobytes()
+        for got, want in zip(q.states, panel.states):
+            assert got == want
+            assert not got.values.flags.writeable
+        with pytest.raises(ValueError):
+            q.defect[0] = 0.0
+        with pytest.raises(AttributeError):
+            q.defect = None
 
 
 class TestSplit:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from epicast.epi import (
@@ -197,6 +197,31 @@ class TestSirSimulate:
         reference = _reference_sir_simulate(*args, days, step)
         for got, want in zip((traj.s, traj.i, traj.r), reference):
             assert got.tobytes() == want.tobytes()
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        beta=st.floats(0.0, 1e3),
+        gamma=st.floats(1.0 / 60.0, 2.0),
+        i0=st.floats(1e-10, 1.0),
+        days=st.integers(1, 60),
+        step=st.sampled_from([0.1, 0.25, 0.5]),
+    )
+    def test_overflow_matches_array_form(self, beta, gamma, i0, days, step):
+        # large beta overflows the trajectory to inf and then NaN, whose sign
+        # bit the scalar form need not share; every other value keeps its bits
+        args = (beta, gamma, 1.0 - i0, i0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = sir_simulate(*args, days, step=step)
+            reference = _reference_sir_simulate(*args, days, step)
+        event("overflow" if np.isnan(reference[0]).any() else "finite")
+        for got, want in zip((traj.s, traj.i, traj.r), reference):
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), finite)
+            assert got[finite].tobytes() == want[finite].tobytes()
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            infinite = np.isinf(want)
+            assert got[infinite].tobytes() == want[infinite].tobytes()
 
 
 class TestSirFit:

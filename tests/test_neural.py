@@ -10,8 +10,6 @@ from epicast.neural import (
     WbannModel,
     _descend,
     _init_weights,
-    _loss_and_grads,
-    _stacked_loss_and_grads,
     make_lag_matrix,
     tdnn_fitted,
     tdnn_forecast,
@@ -19,6 +17,8 @@ from epicast.neural import (
     wbann_fit,
     wbann_forecast,
 )
+
+from oracles import loss_and_grads, stacked_loss_and_grads
 
 FAST = TdnnConfig(repeats=5, epochs=120, seed=9)
 
@@ -124,9 +124,9 @@ def finite_difference_grads(weights, x, y, eps=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up, _ = _loss_and_grads(weights, x, y)
+            up, _ = loss_and_grads(weights, x, y)
             flat[i] = orig - eps
-            down, _ = _loss_and_grads(weights, x, y)
+            down, _ = loss_and_grads(weights, x, y)
             flat[i] = orig
             grad[i] = (up[0] - down[0]) / (2 * eps)
         fd[key] = grad.reshape(weights[key].shape)
@@ -141,7 +141,7 @@ class TestGradients:
             x = rng.normal(size=(20, 3))
             y = rng.normal(size=20)
             weights = _init_weights(np.random.default_rng(trial), 1, 3, 2)
-            _, grads = _loss_and_grads(weights, x, y)
+            _, grads = loss_and_grads(weights, x, y)
             fd = finite_difference_grads(weights, x, y)
             for key in weights:
                 denom = np.maximum(np.abs(fd[key]), 1e-8)
@@ -156,7 +156,7 @@ class TestGradients:
         opt = {k: v.copy() for k, v in ref.items()}
         cfg = TdnnConfig(lags=3, hidden=2, repeats=4, epochs=5, seed=0)
         for _ in range(cfg.epochs):
-            _, grads = _stacked_loss_and_grads(ref, x, y)
+            _, grads = stacked_loss_and_grads(ref, x, y)
             for k in ref:
                 ref[k] = ref[k] - cfg.learning_rate * grads[k]
         opt = _descend(opt, x, y, cfg)
@@ -289,6 +289,14 @@ class TestTdnnForecast:
 
 
 class TestWbann:
+    def test_lags_must_leave_a_training_pair(self):
+        config = TdnnConfig(lags=20, repeats=1, epochs=2, seed=9)
+        residuals = np.random.default_rng(3).normal(size=20)
+        with pytest.raises(InsufficientDataError, match="lags = 20"):
+            wbann_fit(residuals, config)
+        model = wbann_fit(residuals, TdnnConfig(lags=19, repeats=1, epochs=2))
+        assert np.isfinite(model.fitted_values[19:]).all()
+
     def test_zero_residuals_forecast_zero(self):
         model = wbann_fit(np.zeros(40), FAST)
         assert np.max(np.abs(wbann_forecast(model, 5))) < 1e-9

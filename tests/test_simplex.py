@@ -63,7 +63,7 @@ def assert_retraces_scipy(f, x0, maxfev, xatol, fatol):
                          fatol=fatol)
     assert points == ref_points
     assert x.tobytes() == ref.x.tobytes()
-    assert fun == ref.fun
+    assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes()
 
 
 class TestNelderMeadOracle:
@@ -100,3 +100,44 @@ class TestNelderMeadOracle:
                              fatol=1e-12)
         np.testing.assert_allclose(x, [1.0, -2.0], atol=1e-6)
         assert fun < 1e-10
+
+
+def patched(f, value, wall, slab):
+    """``f`` with ``value`` outside ``|x_i| <= wall`` and on the slab
+    ``slab[0] <= x_0 < slab[1]``, so non-finite values meet the search both
+    at its edge and in the middle of its simplex."""
+
+    def g(x):
+        if np.abs(x).max() > wall or slab[0] <= x[0] < slab[1]:
+            return value
+        return f(x)
+
+    return g
+
+
+@st.composite
+def non_finite_problems(draw):
+    f, x0, maxfev, xatol, fatol = draw(problems())
+    value = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    wall = draw(st.sampled_from([math.inf, 50.0, 2.0, 0.1]))
+    low = draw(st.floats(-10.0, 10.0))
+    width = draw(st.sampled_from([0.0, 0.05, 1.0, 20.0]))
+    return patched(f, value, wall, (low, low + width)), x0, maxfev, xatol, fatol
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFiniteValues:
+    """Objectives that return inf, -inf or NaN: the sorts put NaN last and
+    the stopping test meets inf - inf, and both must go as in scipy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(non_finite_problems())
+    def test_matches_scipy_bit_for_bit(self, problem):
+        assert_retraces_scipy(*problem)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("maxfev", [1, 4, 5, 9, 23, 60])
+    def test_every_vertex_non_finite(self, value, maxfev):
+        f = patched(lambda x: float(x @ x), value, 0.0, (0.0, 0.0))
+        assert_retraces_scipy(f, np.array([1.37, 0.0, -0.913]), maxfev,
+                                   1e-6, 1e-10)
