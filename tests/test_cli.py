@@ -178,7 +178,6 @@ class TestAdjustCommand:
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
         assert "kerala" in (out / "exclusions.txt").read_text()
 
-
     def test_state_with_too_many_lags_is_excluded(self, tmp_path, panel):
         # 302 lags leave no training pair in kerala's 302 Holt residuals
         from epicast.hybrid import fit_tagged_models

@@ -198,7 +198,6 @@ class TestSirSimulate:
         for got, want in zip((traj.s, traj.i, traj.r), reference):
             assert got.tobytes() == want.tobytes()
 
-
     @settings(max_examples=100, deadline=None)
     @given(
         beta=st.floats(0.0, 1e3),
@@ -216,12 +215,9 @@ class TestSirSimulate:
             reference = _reference_sir_simulate(*args, days, step)
         event("overflow" if np.isnan(reference[0]).any() else "finite")
         for got, want in zip((traj.s, traj.i, traj.r), reference):
-            finite = np.isfinite(want)
-            assert np.array_equal(np.isfinite(got), finite)
-            assert got[finite].tobytes() == want[finite].tobytes()
-            assert np.array_equal(np.isnan(got), np.isnan(want))
-            infinite = np.isinf(want)
-            assert got[infinite].tobytes() == want[infinite].tobytes()
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestSirFit:
