@@ -20,8 +20,6 @@ from .errors import ValidationError
 DISTRIBUTE_TO_STATES = "distribute-to-states"
 NATIONAL_FOLLOWS_STATES = "national-follows-states"
 
-WEIGHT_MODES = ("last", "window", "ewma")
-
 
 @dataclass(frozen=True)
 class AdjustmentInput:
@@ -80,12 +78,8 @@ def _normalise_squared(scores: np.ndarray) -> np.ndarray:
 
 def compute_weights(last_observed_states, last_fitted_states) -> np.ndarray:
     """Share of the correction per state: squared last-point residuals,
-    normalised; uniform when every residual is zero."""
-    obs = np.asarray(last_observed_states, dtype=float)
-    fit = np.asarray(last_fitted_states, dtype=float)
-    if obs.shape != fit.shape or obs.ndim != 1 or len(obs) < 1:
-        raise ValidationError("observed/fitted state vectors must match")
-    return _normalise_squared((obs - fit) ** 2)
+    normalised; uniform when every residual is zero (``last`` mode)."""
+    return compute_weights_history(last_observed_states, last_fitted_states)
 
 
 def compute_weights_history(
@@ -93,13 +87,18 @@ def compute_weights_history(
     window: int = 7, decay: float = 0.9,
 ) -> np.ndarray:
     """Weights from per-state residual histories (rows = days, columns =
-    states): ``last`` point, mean over a trailing ``window``, or an
-    exponentially weighted mean with factor ``decay`` over the timeline."""
-    obs = np.atleast_2d(np.asarray(observed, dtype=float))
-    fit = np.atleast_2d(np.asarray(fitted, dtype=float))
+    states; a 1-D history is one day): ``last`` point, mean over a trailing
+    ``window``, or an exponentially weighted mean with factor ``decay`` over
+    the timeline. The histories must be finite, with a day and a state."""
+    obs = np.asarray(observed, dtype=float)
+    fit = np.asarray(fitted, dtype=float)
     if obs.shape != fit.shape:
         raise ValidationError("observed/fitted histories must match in shape")
-    sq = (obs - fit) ** 2
+    if obs.ndim not in (1, 2) or obs.size == 0:
+        raise ValidationError(f"need a days x states history, got {obs.shape}")
+    if not (np.isfinite(obs).all() and np.isfinite(fit).all()):
+        raise ValidationError("observed/fitted histories must be finite")
+    sq = np.atleast_2d(obs - fit) ** 2
     if mode == "last":
         scores = sq[-1]
     elif mode == "window":

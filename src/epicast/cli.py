@@ -30,7 +30,7 @@ from .core import HierarchicalPanel, parse_panel_csv, parse_series_csv
 from .errors import EpicastError, ValidationError
 from .evaluate import monitor, shelf_life
 from .forecasters import import_kernels
-from .hybrid import MODEL_TAGS, fit_tagged_models
+from .hybrid import MODEL_TAGS, fit_tagged_models, make_forecaster
 from .neural import TdnnConfig
 from .parallel import map_units
 
@@ -38,6 +38,8 @@ log = logging.getLogger("epicast")
 
 DEFAULT_MODEL = "holt-wbann"
 DEFAULT_POPULATION = 1.38e9
+TAG_GRAMMAR = (f"{', '.join(MODEL_TAGS)} or arima(p,d,q) with p and q from 0 "
+               "to 5 and d from 0 to 2, ignoring case and surrounding blanks")
 
 
 def _fmt(x) -> str:
@@ -148,8 +150,8 @@ def _parse_growth_window(text: str) -> tuple[int, int]:
 
 def cmd_forecast(args) -> list[Path]:
     series = parse_series_csv(args.input)
-    fitted = fit_tagged_models(series, [args.model], _tdnn_config(args))
-    raw = fitted[args.model.strip().lower()].forecast(args.horizon)
+    (model,) = fit_tagged_models(series, [args.model], _tdnn_config(args)).values()
+    raw = model.forecast(args.horizon)
     out_dir = Path(args.out)
     rows = []
     points = []
@@ -182,13 +184,13 @@ def _fit_panel(panel: HierarchicalPanel, model: str, config: TdnnConfig,
     :func:`map_units`. Returns the national ``_SeriesFit``, a
     ``(series, _SeriesFit)`` pair per state that fit, and a ``(name,
     reason)`` pair per state whose fit failed; a national failure raises."""
+    tag = make_forecaster(model).tag  # a bad tag fails here, before any fit
     if fit_one is None:
         def fit_one(series):
-            return fit_tagged_models(series, [model], config)[
-                model.strip().lower()
-            ]
+            (fitted_model,) = fit_tagged_models(series, [tag], config).values()
+            return fitted_model
     units = [panel.national, *panel.states]
-    import_kernels([model])
+    import_kernels([tag])
 
     def fit_unit(index: int):
         try:
@@ -213,12 +215,6 @@ def _fit_panel(panel: HierarchicalPanel, model: str, config: TdnnConfig,
     return national, states, excluded
 
 
-def _last_defined(series, fitted_values):
-    mask = np.isfinite(fitted_values)
-    idx = int(np.flatnonzero(mask)[-1])
-    return series.values[idx], float(fitted_values[idx])
-
-
 def cmd_adjust(args, fit_one=None) -> list[Path]:
     panel = parse_panel_csv(args.input)
     config = _tdnn_config(args)
@@ -229,28 +225,21 @@ def cmd_adjust(args, fit_one=None) -> list[Path]:
     for name, reason in excluded:
         log.warning("excluding %s: %s", name, reason)
 
-    nat_obs, nat_fit = _last_defined(panel.national, national.fitted)
     state_forecasts = np.array([f.forecast for _, f in state_fits])
-    obs_fit_pairs = [_last_defined(s, f.fitted) for s, f in state_fits]
-    last_obs = np.array([pair[0] for pair in obs_fit_pairs])
-    last_fit = np.array([pair[1] for pair in obs_fit_pairs])
-
-    if mode["mode"] == "last":
-        weights = adjust_mod.compute_weights(last_obs, last_fit)
-    else:
-        depth = min(int(np.isfinite(f.fitted).sum()) for _, f in state_fits)
-        obs_hist = np.column_stack([s.values[-depth:] for s, _ in state_fits])
-        fit_hist = np.column_stack([f.fitted[-depth:] for _, f in state_fits])
-        weights = adjust_mod.compute_weights_history(obs_hist, fit_hist, **mode)
+    # fitted values are defined on a tail of each series, up to its last day
+    depth = min(int(np.isfinite(f.fitted).sum()) for _, f in state_fits)
+    obs_hist = np.column_stack([s.values[-depth:] for s, _ in state_fits])
+    fit_hist = np.column_stack([f.fitted[-depth:] for _, f in state_fits])
+    weights = adjust_mod.compute_weights_history(obs_hist, fit_hist, **mode)
 
     adjustment = adjust_mod.adjust_forecasts(
         adjust_mod.AdjustmentInput(
             state_forecasts=state_forecasts,
             national_forecast=national.forecast,
-            last_observed_states=last_obs,
-            last_fitted_states=last_fit,
-            last_observed_national=float(nat_obs),
-            last_fitted_national=nat_fit,
+            last_observed_states=obs_hist[-1],
+            last_fitted_states=fit_hist[-1],
+            last_observed_national=float(panel.national.values[-1]),
+            last_fitted_national=float(national.fitted[-1]),
         ),
         weights=weights,
     )
@@ -430,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42, help="master seed")
         p.add_argument("--out", default=".", help="output directory")
 
-    def model_flags(p, model_default=DEFAULT_MODEL, model_help="model tag"):
+    def model_flags(p, model_default=DEFAULT_MODEL,
+                    model_help=f"model tag: {TAG_GRAMMAR}"):
         common(p)
         p.add_argument("--model", default=model_default, help=model_help)
         p.add_argument("--lags", type=int, default=None)
@@ -439,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epochs", type=int, default=None)
 
     p = sub.add_parser("forecast", help="h-step point forecasts")
-    model_flags(p, model_help=f"one of {', '.join(MODEL_TAGS)}")
+    model_flags(p)
     p.add_argument("--horizon", type=int, default=7)
     p.add_argument("--svg", action="store_true", help="also draw an SVG chart")
     p.set_defaults(func=cmd_forecast)
@@ -455,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("monitor", help="rolling-window model comparison")
     model_flags(p, model_default=",".join(MODEL_TAGS),
-                model_help="comma-separated model tags")
+                model_help=f"comma-separated model tags, no tag twice, "
+                           f"each {TAG_GRAMMAR}")
     p.add_argument("--window", type=int, default=4, help="window width k")
     p.add_argument("--svg", action="store_true", help="also draw an SVG chart")
     p.set_defaults(func=cmd_monitor)

@@ -22,7 +22,7 @@ import numpy as np
 from .core import UnivariateSeries
 from .errors import InsufficientDataError, ValidationError
 from .forecasters import import_kernels
-from .hybrid import fit_tagged_models
+from .hybrid import fit_tagged_models, make_forecaster
 from .neural import TdnnConfig
 from .parallel import map_units
 
@@ -128,11 +128,15 @@ def monitor(
     observations 1..T-1 with a per-origin seed ``seed + T`` and scores the
     k-step forecast against observations T..T+k-1. Ties in the per-origin
     argmin go to the earlier model in ``models``. The origins are
-    independent, so they run on :func:`epicast.parallel.map_units`.
+    independent, so they run on :func:`epicast.parallel.map_units`. Every
+    tag is checked before the first fit, and a tag given twice is an error.
     """
-    models = [tag.strip().lower() for tag in models]
+    models = [make_forecaster(tag).tag for tag in models]
     if not models:
         raise ValidationError("need at least one model tag")
+    twice = [tag for i, tag in enumerate(models) if tag in models[:i]]
+    if twice:
+        raise ValidationError(f"model tag {twice[0]!r} given more than once")
     if k < 1:
         raise ValidationError("window width k must be >= 1")
     t = len(series)
@@ -259,8 +263,8 @@ def shelf_life(
         raise ValidationError(f"train_len must lie in (0, {t})")
     horizon = t - train_len
     config = config or TdnnConfig(seed=seed)
-    fitted = fit_tagged_models(series.prefix(train_len), [model], config)
-    forecast = fitted[model.strip().lower()].forecast(horizon)
+    (fitted,) = fit_tagged_models(series.prefix(train_len), [model], config).values()
+    forecast = fitted.forecast(horizon)
     actual = series.values[train_len:]
     zeros = np.flatnonzero(actual == 0)
     if len(zeros):

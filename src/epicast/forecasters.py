@@ -182,11 +182,18 @@ class ArimaModel:
     diff_tails: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        p, d, q = self.order
-        if not (0 <= p <= MAX_ARMA_ORDER and 0 <= q <= MAX_ARMA_ORDER):
-            raise ValidationError(f"AR/MA order out of range: {self.order}")
-        if not 0 <= d <= MAX_DIFF:
-            raise ValidationError(f"difference order out of range: {self.order}")
+        check_order(self.order)
+
+
+def check_order(order: tuple[int, int, int]) -> None:
+    """Reject an ARIMA order (p, d, q) outside p, q in 0..5 and d in 0..2."""
+    p, d, q = order
+    if not (0 <= p <= MAX_ARMA_ORDER and 0 <= q <= MAX_ARMA_ORDER
+            and 0 <= d <= MAX_DIFF):
+        raise ValidationError(
+            f"unsupported ARIMA order {order}: p and q must lie in "
+            f"0..{MAX_ARMA_ORDER}, d in 0..{MAX_DIFF}"
+        )
 
 
 def _lag_matrix(w: np.ndarray, p: int, burn: int) -> np.ndarray:
@@ -210,10 +217,10 @@ def _linear_filter():
 
 
 def import_kernels(tags) -> None:
-    """Import now the kernel that fitting an ARIMA tag among ``tags`` loads
-    on first use. Workers forked after this share its pages instead of each
-    importing ``scipy.signal`` again."""
-    if any(tag.strip().lower().startswith("arima") for tag in tags):
+    """Import now the kernel that fitting an ARIMA tag among ``tags`` (the
+    ``tag`` of built models) loads on first use. Workers forked after this
+    share its pages instead of each importing ``scipy.signal`` again."""
+    if any(tag.startswith("arima") for tag in tags):
         _linear_filter()
 
 
@@ -400,10 +407,8 @@ def arima_fit(
     if order is None:
         d = choose_difference_order(y)
     else:
+        check_order(order)
         p, d, q = order
-        if not (0 <= p <= MAX_ARMA_ORDER and 0 <= q <= MAX_ARMA_ORDER
-                and 0 <= d <= MAX_DIFF):
-            raise ValidationError(f"unsupported order {order}")
     w = np.diff(y, n=d) if d else y.copy()
     intercept = d == 0
 
@@ -500,6 +505,9 @@ class ArimaForecaster(Forecaster):
     tag = "arima"
 
     def __init__(self, order: tuple[int, int, int] | None = None):
+        if order is not None:
+            check_order(order)
+            self.tag = "arima({},{},{})".format(*order)
         self.order = order
 
     def fit(self, train: UnivariateSeries) -> "ArimaForecaster":
@@ -513,23 +521,3 @@ class ArimaForecaster(Forecaster):
     def forecast(self, h: int) -> np.ndarray:
         return arima_forecast(self.model, h)
 
-
-def make_base_forecaster(kind: str) -> Forecaster:
-    """Build a base model from its tag: ``holt``, ``arima`` or
-    ``arima(p,d,q)`` with explicit order."""
-    kind = kind.strip().lower()
-    if kind == "holt":
-        return HoltForecaster()
-    if kind == "arima":
-        return ArimaForecaster()
-    if kind.startswith("arima(") and kind.endswith(")"):
-        inner = kind[len("arima(") : -1]
-        parts = [piece.strip() for piece in inner.split(",")]
-        if len(parts) != 3:
-            raise ValidationError(f"bad ARIMA order spec {kind!r}")
-        try:
-            p, d, q = (int(piece) for piece in parts)
-        except ValueError as exc:
-            raise ValidationError(f"bad ARIMA order spec {kind!r}") from exc
-        return ArimaForecaster(order=(p, d, q))
-    raise ValidationError(f"unknown base model {kind!r}")

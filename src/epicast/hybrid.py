@@ -3,8 +3,8 @@ its residuals. The final fitted values and forecasts are the elementwise sum
 of the two phases, so the residual model can only add information the base
 model left behind.
 
-Registered model tags: ``arima``, ``arima-wbf``, ``holt``, ``holt-wbann``
-(plus fixed-order variants like ``arima(0,1,0)``).
+:func:`make_forecaster` is the one parser of model tags; its docstring
+gives the grammar.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import UnivariateSeries
 from .errors import InsufficientDataError, ValidationError
-from .forecasters import Forecaster, make_base_forecaster
+from .forecasters import ArimaForecaster, Forecaster, HoltForecaster
 from .neural import TdnnConfig, WbannModel, wbann_fit, wbann_forecast
 
 MODEL_TAGS = ("arima", "arima-wbf", "holt", "holt-wbann")
@@ -54,7 +54,7 @@ def hybrid_fit(
     config = config or TdnnConfig()
     if base is None:
         try:
-            base = make_base_forecaster(base_kind).fit(series)
+            base = make_forecaster(base_kind).fit(series)
         except Exception as exc:
             raise _tagged(f"base ({base_kind})", exc) from exc
     fitted = base.fitted()
@@ -98,10 +98,10 @@ def hybrid_forecast(model: HybridModel, h: int) -> np.ndarray:
 class HybridForecaster(Forecaster):
     """Hybrid composition under the shared forecaster contract."""
 
-    def __init__(self, base_kind: str, config: TdnnConfig | None = None):
+    def __init__(self, tag: str, base_kind: str, config: TdnnConfig | None = None):
+        self.tag = tag
         self.base_kind = base_kind
         self.config = config or TdnnConfig()
-        self.tag = f"{base_kind}+wbann"
 
     def fit(self, train: UnivariateSeries, base: Forecaster | None = None):
         self._observed = np.asarray(train.values, dtype=float)
@@ -116,41 +116,51 @@ class HybridForecaster(Forecaster):
 
 
 def make_forecaster(tag: str, config: TdnnConfig | None = None) -> Forecaster:
-    """Build an unfitted forecaster from a registered tag."""
-    tag = tag.strip().lower()
-    if tag in HYBRID_BASES:
-        model = HybridForecaster(HYBRID_BASES[tag], config)
-        model.tag = tag
-        return model
-    model = make_base_forecaster(tag)
-    return model
+    """Build an unfitted forecaster from its tag, the only parser of tags:
+    one of ``MODEL_TAGS`` or ``arima(p,d,q)``, a fixed-order ARIMA with p
+    and q from 0 to 5 and d from 0 to 2. Matching ignores case and
+    surrounding blanks; ``monitor`` rejects duplicates. The model's ``tag``
+    is the tag in lower case, a fixed order written without blanks."""
+    key = tag.strip().lower()
+    if key in HYBRID_BASES:
+        return HybridForecaster(key, HYBRID_BASES[key], config)
+    if key == "holt":
+        return HoltForecaster()
+    if key == "arima":
+        return ArimaForecaster()
+    if key.startswith("arima(") and key.endswith(")"):
+        try:
+            p, d, q = (int(piece) for piece in key[6:-1].split(","))
+        except ValueError as exc:
+            raise ValidationError(f"bad ARIMA order spec {tag!r}") from exc
+        return ArimaForecaster(order=(p, d, q))
+    raise ValidationError(f"unknown model tag {tag!r}")
 
 
 def fit_tagged_models(
     series: UnivariateSeries, tags, config: TdnnConfig | None = None
 ) -> dict[str, Forecaster]:
-    """Fit every tag on one series, fitting each distinct base model once.
+    """Fit every tag on one series, keyed by the models' ``tag``, fitting
+    each distinct base model once.
 
     Base fits are deterministic pure functions of the series, so a hybrid
     and its standalone base share the identical fitted object.
     """
-    config = config or TdnnConfig()
     fitted: dict[str, Forecaster] = {}
-    base_cache: dict[str, Forecaster] = {}
+    bases: dict[str, Forecaster] = {}
 
-    def fit_base(kind: str) -> Forecaster:
-        if kind not in base_cache:
-            base_cache[kind] = make_base_forecaster(kind).fit(series)
-        return base_cache[kind]
+    def fit_base(model: Forecaster) -> Forecaster:
+        if model.tag not in bases:
+            bases[model.tag] = model.fit(series)
+        return bases[model.tag]
 
     for tag in tags:
-        key = tag.strip().lower()
-        if key in fitted:
+        model = make_forecaster(tag, config)
+        if model.tag in fitted:
             continue
-        if key in HYBRID_BASES:
-            model = HybridForecaster(HYBRID_BASES[key], config)
-            model.tag = key
-            fitted[key] = model.fit(series, base=fit_base(HYBRID_BASES[key]))
+        if isinstance(model, HybridForecaster):
+            base = fit_base(make_forecaster(model.base_kind))
+            fitted[model.tag] = model.fit(series, base=base)
         else:
-            fitted[key] = fit_base(key)
+            fitted[model.tag] = fit_base(model)
     return fitted

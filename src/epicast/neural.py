@@ -52,7 +52,8 @@ def make_lag_matrix(series, p: int):
 
 
 def _sigmoid(a):
-    return 1.0 / (1.0 + np.exp(-a))
+    with np.errstate(over="ignore"):  # exp overflows to inf: the sigmoid is 0
+        return 1.0 / (1.0 + np.exp(-a))
 
 
 def _init_weights(rng: np.random.Generator, r: int, p: int, h: int) -> dict:

@@ -66,6 +66,22 @@ class TestWeights:
         with pytest.raises(ValidationError):
             compute_weights_history(np.ones((2, 2)), np.zeros((2, 2)), mode="mad")
 
+    @pytest.mark.parametrize("mode", ["last", "window", "ewma"])
+    @pytest.mark.parametrize("observed", [
+        np.empty((0, 2)),  # no days
+        np.empty((3, 0)),  # no states
+        np.empty(0),
+        np.ones((2, 2, 2)),  # not days x states
+        np.float64(1.0),
+        np.array([[1.0, np.nan], [2.0, 1.0]]),
+        np.array([[1.0, 2.0], [np.inf, 1.0]]),
+    ], ids=["no-days", "no-states", "empty-1d", "3d", "scalar", "nan", "inf"])
+    def test_malformed_history(self, observed, mode):
+        with pytest.raises(ValidationError):
+            compute_weights_history(observed, np.zeros_like(observed), mode=mode)
+        with pytest.raises(ValidationError):
+            compute_weights_history(np.zeros_like(observed), observed, mode=mode)
+
 
 class TestDiscrepancy:
     def test_zero(self):

@@ -1,5 +1,8 @@
 import csv
+import os
 import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -383,6 +386,43 @@ class TestFailureModes:
         assert run(["forecast", "--input", path, "--model", "prophet",
                     "--out", out]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, model", [
+        ("monitor", "holt-wbann,arima(9,1,0)"),
+        ("monitor", "holt,HOLT"),
+        ("monitor", "arima(0,1,0), ARIMA(0, 1, 0)"),
+        ("adjust", "arima(1,3,0)"),
+    ])
+    def test_bad_or_repeated_tag_exits_before_any_fit(
+            self, tmp_path, capsys, monkeypatch, command, model):
+        def no_fits(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr("epicast.evaluate.map_units", no_fits)
+        monkeypatch.setattr("epicast.cli.map_units", no_fits)
+        fixture = {"adjust": "india_panel.csv", "monitor": "india_confirmed.csv"}
+        out = tmp_path / "out"
+        assert run([command, "--input", fixture_path(fixture[command]),
+                    "--model", model, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if "HOLT" in model:
+            assert "'holt'" in err
+        assert not out.exists()
+
+    def test_sigmoid_overflow_is_silent(self, tmp_path):
+        # 300 lags drive some hidden units so far into saturation that
+        # exp(-a) overflows to inf, where the sigmoid is 0. A fresh process,
+        # because the test runner records warnings instead of printing them.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "epicast.cli", "adjust",
+             "--input", str(fixture_path("india_panel.csv")), "--lags", "300",
+             "--epochs", "2", "--repeats", "1", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
     @pytest.mark.parametrize("model, lags", [("holt-wbann", 302),
                                              ("arima-wbf", 300)])

@@ -16,7 +16,6 @@ from epicast.forecasters import (
     holt_filter,
     holt_fit,
     holt_forecast,
-    make_base_forecaster,
 )
 from epicast.forecasters import (
     _hannan_rissanen_start,
@@ -24,6 +23,7 @@ from epicast.forecasters import (
     _ma_filter,
     _ols,
 )
+from epicast.hybrid import make_forecaster
 
 from conftest import linear_series, make_series
 
@@ -358,7 +358,7 @@ class TestContract:
     @pytest.mark.parametrize("kind", ["holt", "arima", "arima(1,1,0)"])
     def test_residual_identity(self, kind, india):
         sub = india.prefix(120)
-        model = make_base_forecaster(kind).fit(sub)
+        model = make_forecaster(kind).fit(sub)
         fitted = model.fitted()
         resid = model.residuals()
         defined = np.isfinite(fitted)
@@ -369,8 +369,11 @@ class TestContract:
 
     def test_unknown_tag(self):
         with pytest.raises(ValidationError):
-            make_base_forecaster("prophet")
+            make_forecaster("prophet")
 
     def test_bad_order_spec(self):
-        with pytest.raises(ValidationError):
-            make_base_forecaster("arima(1,2)")
+        # malformed, then out of range: each fails before any fit
+        for tag in ("arima(1,2)", "arima(9,1,0)", "arima(0,3,0)",
+                    "arima(0,1,-1)", "ARIMA(6, 0, 0)"):
+            with pytest.raises(ValidationError, match="order"):
+                make_forecaster(tag)

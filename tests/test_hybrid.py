@@ -139,6 +139,15 @@ class TestRegistry:
     def test_fixed_order_tag(self, india):
         model = make_forecaster("arima(0,1,0)").fit(india.prefix(60))
         assert np.allclose(model.forecast(3), india.values[59], atol=1e-12)
+        assert make_forecaster(" ARIMA(0,1,0) ").tag == "arima(0,1,0)"
+        assert make_forecaster("arima( 0, 1 ,0 )").tag == "arima(0,1,0)"
+        assert make_forecaster(" Holt-WBANN ").tag == "holt-wbann"
+
+    def test_tagged_models_keyed_by_normalised_tag(self, india):
+        sub = india.prefix(60)
+        fitted = fit_tagged_models(sub, [" HOLT", "arima( 0,1,0)"], FAST)
+        assert list(fitted) == ["holt", "arima(0,1,0)"]
+        assert [model.tag for model in fitted.values()] == list(fitted)
 
     def test_shared_base_identical(self, india):
         sub = india.prefix(120)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -10,6 +12,7 @@ from epicast.neural import (
     WbannModel,
     _descend,
     _init_weights,
+    _sigmoid,
     make_lag_matrix,
     tdnn_fitted,
     tdnn_forecast,
@@ -131,6 +134,14 @@ def finite_difference_grads(weights, x, y, eps=1e-5):
             grad[i] = (up[0] - down[0]) / (2 * eps)
         fd[key] = grad.reshape(weights[key].shape)
     return fd
+
+
+def test_sigmoid_saturates_without_warning():
+    a = np.array([-1000.0, -710.0, 0.0, 710.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(a)
+    assert got.tobytes() == np.array([0.0, 0.0, 0.5, 1.0]).tobytes()
 
 
 class TestGradients:
