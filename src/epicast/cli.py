@@ -27,12 +27,22 @@ import numpy as np
 from . import adjust as adjust_mod
 from . import epi
 from .core import HierarchicalPanel, parse_panel_csv, parse_series_csv
-from .errors import EpicastError, ValidationError
+from .errors import EpicastError, TrainingError, ValidationError
 from .evaluate import monitor, shelf_life
 from .forecasters import import_kernels
-from .hybrid import MODEL_TAGS, fit_tagged_models, make_forecaster
-from .neural import TdnnConfig
-from .parallel import map_units
+from .hybrid import (
+    MODEL_TAGS,
+    HybridForecaster,
+    HybridProblem,
+    fit_tagged_models,
+    hybrid_fitted,
+    hybrid_forecast,
+    hybrid_model,
+    hybrid_problem,
+    make_forecaster,
+)
+from .neural import TdnnConfig, wbann_train
+from .parallel import contiguous_shares, map_units, worker_count
 
 log = logging.getLogger("epicast")
 
@@ -178,34 +188,93 @@ class _SeriesFit(NamedTuple):
     forecast: float  # next-day point forecast
 
 
-def _fit_panel(panel: HierarchicalPanel, model: str, config: TdnnConfig,
-               fit_one=None):
-    """Fit the chosen model nationally and per state, one unit each on
-    :func:`map_units`. Returns the national ``_SeriesFit``, a
-    ``(series, _SeriesFit)`` pair per state that fit, and a ``(name,
-    reason)`` pair per state whose fit failed; a national failure raises."""
+def _fit_or_reason(index: int, fit, *args):
+    """``fit(*args)`` for panel series ``index``, or the message of its
+    error; an error on the national series (index 0) raises."""
+    try:
+        return fit(*args)
+    except EpicastError as exc:
+        if index == 0:
+            raise
+        return str(exc)
+
+
+def _train_residuals(problems) -> list:
+    """Train the residual networks of every ``WbannProblem`` in
+    ``problems`` on :func:`map_units`: their components, in (problem,
+    component) order, are cut into one contiguous share per worker.
+
+    Returns each problem's trained weights, stacked as in the problem, or
+    ``None`` where one of its pieces diverged. The caller then trains that
+    problem whole, which stops at the same epoch and names the same
+    (component, restart) as a serial fit: its pieces alone cannot, since
+    the pair a serial fit names may sit in a piece whose gradients were
+    still finite at that epoch.
+    """
+    sizes = [problem.n_components for problem in problems]
+    shares = contiguous_shares(sizes, worker_count(sum(sizes)))
+
+    def train_share(index: int) -> list:
+        trained = []
+        for series, start, stop in shares[index]:
+            try:
+                trained.append(wbann_train(problems[series], start, stop))
+            except TrainingError:
+                trained.append(None)
+        return trained
+
+    pieces = [[] for _ in problems]
+    for share, trained in zip(shares, map_units(train_share, len(shares))):
+        for (series, _, _), weights in zip(share, trained):
+            pieces[series].append(weights)
+    return [
+        None if any(w is None for w in parts)
+        else {key: np.concatenate([w[key] for w in parts]) for key in parts[0]}
+        for parts in pieces
+    ]
+
+
+def _fit_panel(panel: HierarchicalPanel, model: str, config: TdnnConfig):
+    """Fit the chosen model nationally and per state. Returns the national
+    ``_SeriesFit``, a ``(series, _SeriesFit)`` pair per state that fit, and
+    a ``(name, reason)`` pair per state whose fit failed; a national
+    failure raises.
+
+    A hybrid tag fits in three rounds, so that the residual networks, which
+    cost the most, reach every worker in equal shares whatever the number
+    of series: one unit per series on :func:`map_units` fits the base and
+    frames the residual problem (other tags finish there);
+    :func:`_train_residuals` trains the networks; and this process
+    assembles each model and reads its fit and forecast.
+    """
     tag = make_forecaster(model).tag  # a bad tag fails here, before any fit
-    if fit_one is None:
-        def fit_one(series):
-            (fitted_model,) = fit_tagged_models(series, [tag], config).values()
-            return fitted_model
     units = [panel.national, *panel.states]
     import_kernels([tag])
 
-    def fit_unit(index: int):
-        try:
-            fitted_model = fit_one(units[index])
-        except EpicastError as exc:
-            if index == 0:
-                raise
-            return str(exc)
-        return _SeriesFit(
-            fitted_model.fitted(), float(fitted_model.forecast(1)[0])
-        )
+    def prepare(series):
+        built = make_forecaster(tag, config)
+        if not isinstance(built, HybridForecaster):
+            built.fit(series)
+            return _SeriesFit(built.fitted(), float(built.forecast(1)[0]))
+        base = make_forecaster(built.base_kind).fit(series)
+        return hybrid_problem(series, built.base_kind, config, base)
 
-    national, *results = map_units(fit_unit, len(units))
+    def finish(problem, weights):
+        fitted_model = hybrid_model(problem, weights)
+        return _SeriesFit(hybrid_fitted(fitted_model),
+                          float(hybrid_forecast(fitted_model, 1)[0]))
+
+    results = map_units(lambda i: _fit_or_reason(i, prepare, units[i]),
+                        len(units))
+    hybrids = [i for i, r in enumerate(results)
+               if isinstance(r, HybridProblem)]
+    trained = _train_residuals([results[i].residual for i in hybrids])
+    for index, weights in zip(hybrids, trained):
+        results[index] = _fit_or_reason(index, finish, results[index], weights)
+
+    national, *rest = results
     states, excluded = [], []
-    for s, result in zip(panel.states, results):
+    for s, result in zip(panel.states, rest):
         if isinstance(result, str):
             excluded.append((s.name, result))
         else:
@@ -215,13 +284,11 @@ def _fit_panel(panel: HierarchicalPanel, model: str, config: TdnnConfig,
     return national, states, excluded
 
 
-def cmd_adjust(args, fit_one=None) -> list[Path]:
+def cmd_adjust(args) -> list[Path]:
     panel = parse_panel_csv(args.input)
     config = _tdnn_config(args)
     mode = _parse_weight_mode(args.weight_mode)
-    national, state_fits, excluded = _fit_panel(
-        panel, args.model, config, fit_one=fit_one
-    )
+    national, state_fits, excluded = _fit_panel(panel, args.model, config)
     for name, reason in excluded:
         log.warning("excluding %s: %s", name, reason)
 

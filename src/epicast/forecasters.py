@@ -217,10 +217,14 @@ def _linear_filter():
 
 
 def import_kernels(tags) -> None:
-    """Import now the kernel that fitting an ARIMA tag among ``tags`` (the
-    ``tag`` of built models) loads on first use. Workers forked after this
-    share its pages instead of each importing ``scipy.signal`` again."""
-    if any(tag.startswith("arima") for tag in tags):
+    """Import now the kernel that fitting a tag among ``tags`` (the ``tag``
+    of built models) loads on first use. Workers forked after this share
+    its pages instead of each importing ``scipy.signal`` again. Only a fit
+    with an MA part uses it: the order searches of ``arima`` and
+    ``arima-wbf``, and a fixed ``arima(p,d,q)`` with q > 0."""
+    if any(tag in ("arima", "arima-wbf")
+           or (tag.startswith("arima(") and not tag.endswith(",0)"))
+           for tag in tags):
         _linear_filter()
 
 

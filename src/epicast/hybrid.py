@@ -9,6 +9,7 @@ gives the grammar.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,16 @@ import numpy as np
 from .core import UnivariateSeries
 from .errors import InsufficientDataError, ValidationError
 from .forecasters import ArimaForecaster, Forecaster, HoltForecaster
-from .neural import TdnnConfig, WbannModel, wbann_fit, wbann_forecast
+from .neural import (
+    TdnnConfig,
+    WbannModel,
+    WbannProblem,
+    wbann_fit,
+    wbann_forecast,
+    wbann_model,
+    wbann_problem,
+    wbann_train,
+)
 
 MODEL_TAGS = ("arima", "arima-wbf", "holt", "holt-wbann")
 
@@ -34,8 +44,43 @@ class HybridModel:
     base_skip: int  # leading positions where the base has no fitted value
 
 
-def _tagged(phase: str, exc: Exception) -> Exception:
-    return type(exc)(f"{phase} phase: {exc}")
+@dataclass
+class HybridProblem:
+    """A fitted base model and the training problem of the residual
+    network on its errors, for a caller that trains the network itself."""
+
+    base: Forecaster
+    residual: WbannProblem = field(repr=False)
+    base_kind: str
+    n_obs: int
+    base_skip: int
+
+
+@contextmanager
+def _phase(name: str):
+    """Prefix the message of any error raised in the block with the phase."""
+    try:
+        yield
+    except Exception as exc:
+        raise type(exc)(f"{name} phase: {exc}") from exc
+
+
+def _base_residuals(series: UnivariateSeries, base_kind: str,
+                    base: Forecaster | None):
+    """The fitted base, its leading undefined span and its one-step errors."""
+    if len(series) < 20:
+        raise InsufficientDataError(
+            f"hybrid fit needs >= 20 points, got {len(series)}"
+        )
+    if base is None:
+        with _phase(f"base ({base_kind})"):
+            base = make_forecaster(base_kind).fit(series)
+    fitted = base.fitted()
+    defined = np.isfinite(fitted)
+    skip = int(np.argmax(defined)) if defined.any() else len(fitted)
+    if not defined[skip:].all():
+        raise ValidationError("base fitted values must be a contiguous tail")
+    return base, skip, series.values[skip:] - fitted[skip:]
 
 
 def hybrid_fit(
@@ -47,33 +92,32 @@ def hybrid_fit(
     """Fit the base on the full series, then the residual network on the
     base's one-step errors. A prefit ``base`` for the same series may be
     supplied to avoid refitting."""
-    if len(series) < 20:
-        raise InsufficientDataError(
-            f"hybrid fit needs >= 20 points, got {len(series)}"
-        )
-    config = config or TdnnConfig()
-    if base is None:
-        try:
-            base = make_forecaster(base_kind).fit(series)
-        except Exception as exc:
-            raise _tagged(f"base ({base_kind})", exc) from exc
-    fitted = base.fitted()
-    defined = np.isfinite(fitted)
-    skip = int(np.argmax(defined)) if defined.any() else len(fitted)
-    if not defined[skip:].all():
-        raise ValidationError("base fitted values must be a contiguous tail")
-    residuals = series.values[skip:] - fitted[skip:]
-    try:
-        residual_model = wbann_fit(residuals, config)
-    except Exception as exc:
-        raise _tagged("residual (wbann)", exc) from exc
-    return HybridModel(
-        base=base,
-        residual_model=residual_model,
-        base_kind=base_kind,
-        n_obs=len(series),
-        base_skip=skip,
-    )
+    base, skip, residuals = _base_residuals(series, base_kind, base)
+    with _phase("residual (wbann)"):
+        residual_model = wbann_fit(residuals, config or TdnnConfig())
+    return HybridModel(base, residual_model, base_kind, len(series), skip)
+
+
+def hybrid_problem(series: UnivariateSeries, base_kind: str,
+                   config: TdnnConfig, base: Forecaster) -> HybridProblem:
+    """The first half of :func:`hybrid_fit` on a prefit ``base``: frame
+    the residual network's training problem without training it."""
+    base, skip, residuals = _base_residuals(series, base_kind, base)
+    with _phase("residual (wbann)"):
+        residual = wbann_problem(residuals, config)
+    return HybridProblem(base, residual, base_kind, len(series), skip)
+
+
+def hybrid_model(problem: HybridProblem, trained: dict | None) -> HybridModel:
+    """The second half of :func:`hybrid_fit`: the model from the residual
+    network's trained weights, stacked as in its problem. ``None`` trains
+    them here, as :func:`hybrid_fit` would."""
+    with _phase("residual (wbann)"):
+        if trained is None:
+            trained = wbann_train(problem.residual)
+        residual_model = wbann_model(problem.residual, trained)
+    return HybridModel(problem.base, residual_model, problem.base_kind,
+                       problem.n_obs, problem.base_skip)
 
 
 def hybrid_fitted(model: HybridModel) -> np.ndarray:

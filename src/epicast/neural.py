@@ -7,9 +7,10 @@ generator; the model predicts the average of the restarts. Multi-step
 forecasts are recursive: each prediction is appended to the lag window.
 
 The component networks of the wavelet ensemble share one architecture, so
-their training steps are evaluated as a single stacked tensor; component k
-still draws its weights from its own generator seeded ``seed + k``, making
-the components independently reproducible.
+their training steps are evaluated as a stacked tensor, of all components
+or of a contiguous piece of them; component k still draws its weights from
+its own generator seeded ``seed + k``, making the components independently
+reproducible.
 """
 
 from __future__ import annotations
@@ -258,12 +259,27 @@ class WbannModel:
             )
 
 
-def wbann_fit(residuals, config: TdnnConfig) -> WbannModel:
-    """Decompose the residual series and train one network per component.
+@dataclass
+class WbannProblem:
+    """The stacked training problem of one residual series: its wavelet
+    components as scaled lag inputs and targets, and every component's
+    initial weights, component k's drawn from a generator seeded
+    ``config.seed + k``. Arrays are stacked on a leading component axis."""
 
-    The levels + 1 nets train as one stacked tensor; component k's weights
-    come from its own generator seeded ``config.seed + k``.
-    """
+    config: TdnnConfig
+    mra: WaveletMra = field(repr=False)
+    scales: list = field(repr=False)  # (lo, hi) target range per component
+    inputs: np.ndarray = field(repr=False)  # (C, N, lags)
+    targets: np.ndarray = field(repr=False)  # (C, N)
+    weights: dict = field(repr=False)  # initial w1, b1, w2, b2 as (C, R, ...)
+
+    @property
+    def n_components(self) -> int:
+        return len(self.inputs)
+
+
+def wbann_problem(residuals, config: TdnnConfig) -> WbannProblem:
+    """Decompose the residual series and frame one network per component."""
     e = np.asarray(residuals, dtype=float)
     n = len(e)
     if n < 16:
@@ -272,8 +288,7 @@ def wbann_fit(residuals, config: TdnnConfig) -> WbannModel:
         raise InsufficientDataError(
             f"need more than lags = {config.lags} residuals, got {n}"
         )
-    levels = choose_levels(n)
-    mra = modwt_haar(e, levels)
+    mra = modwt_haar(e, choose_levels(n))
     components = mra.components
 
     scales = [_minmax(component[config.lags :]) for component in components]
@@ -292,24 +307,49 @@ def wbann_fit(residuals, config: TdnnConfig) -> WbannModel:
         )
         for k in range(len(components))
     ]
-    stacked_weights = {
-        key: np.stack([w[key] for w in inits]) for key in inits[0]
-    }
-    trained = _descend(
-        stacked_weights,
-        np.stack(stacked_in),
-        np.stack(stacked_tg),
-        config,
-        component_labels=list(range(len(components))),
+    return WbannProblem(
+        config=config,
+        mra=mra,
+        scales=scales,
+        inputs=np.stack(stacked_in),
+        targets=np.stack(stacked_tg),
+        weights={key: np.stack([w[key] for w in inits]) for key in inits[0]},
     )
 
+
+def wbann_train(problem: WbannProblem, start: int = 0,
+                stop: int | None = None) -> dict:
+    """Train components ``start`` to ``stop`` (all by default) of the
+    problem as one stack; returns their weights stacked as in the problem.
+
+    Every (component, restart) pair's arithmetic is independent of the
+    others, so training the components in pieces gives the bits of one
+    whole stack. Divergence is reported with the component's index in the
+    whole problem.
+    """
+    stop = problem.n_components if stop is None else stop
+    weights = {key: w[start:stop].copy() for key, w in problem.weights.items()}
+    return _descend(
+        weights,
+        problem.inputs[start:stop],
+        problem.targets[start:stop],
+        problem.config,
+        component_labels=list(range(start, stop)),
+    )
+
+
+def wbann_model(problem: WbannProblem, trained: dict) -> WbannModel:
+    """The ensemble from every component's trained weights, stacked as in
+    the problem, with its in-sample fit."""
+    config = problem.config
+    components = problem.mra.components
     models = []
     tails = []
     fitted_components = []
     for k, component in enumerate(components):
         weights = {key: trained[key][k] for key in trained}
         model = TdnnModel(
-            input_scale=scales[k],
+            input_scale=problem.scales[k],
             weights=weights,
             config=replace(config, seed=config.seed + k),
         )
@@ -318,13 +358,23 @@ def wbann_fit(residuals, config: TdnnConfig) -> WbannModel:
         fitted_components.append(tdnn_fitted(model, component))
     fitted = np.sum(fitted_components, axis=0)
     return WbannModel(
-        levels=levels,
+        levels=problem.mra.levels,
         component_models=models,
         training_series_tail=tails,
-        mra=mra,
+        mra=problem.mra,
         fitted_values=fitted,
         component_fitted=fitted_components,
     )
+
+
+def wbann_fit(residuals, config: TdnnConfig) -> WbannModel:
+    """Decompose the residual series and train one network per component.
+
+    The levels + 1 nets train as one stacked tensor; component k's weights
+    come from its own generator seeded ``config.seed + k``.
+    """
+    problem = wbann_problem(residuals, config)
+    return wbann_model(problem, wbann_train(problem))
 
 
 def wbann_forecast(model: WbannModel, h: int) -> np.ndarray:

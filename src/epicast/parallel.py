@@ -1,7 +1,8 @@
 """Independent fits run side by side on forked worker processes.
 
-A monitor origin and a panel series are each one unit of work: a fit that
-reads shared inputs and returns a small result. :func:`map_units` runs
+A monitor origin, a panel series' base fit and a share of the panel's
+residual networks are each one unit of work: a fit that reads shared
+inputs and returns a small result. :func:`map_units` runs
 units ``0..n-1`` on one worker per CPU this process may use, and returns
 the results in unit order. Each result depends only on its unit, so the
 output is the same for any number of workers; ``taskset -c 0`` gives a
@@ -9,11 +10,17 @@ serial run in this process.
 
 Workers are forked, never spawned: the unit function reaches them through
 the pool's initializer as inherited memory, so closures and objects that do
-not pickle (a ``UnivariateSeries``, a caller's ``fit_one`` hook) work as
-they do in-process. Only unit indices and results cross between processes.
+not pickle (a ``UnivariateSeries``, a test's patched function) work as they
+do in-process. Only unit indices and results cross between processes.
 The pool forks every worker before it starts its own threads. Where a fork
 is unsafe or would hide the fits from their caller, the units run in this
 process instead (see :func:`_may_fork`).
+
+A new worker starts on the CPU its parent runs on, and the scheduler was
+seen to leave both workers of a process's first pool there for about half
+a second. So each worker moves itself onto its own CPU of the parent's
+affinity mask at start-up, then takes the whole mask back: it is placed,
+not pinned.
 """
 
 from __future__ import annotations
@@ -76,9 +83,48 @@ def _may_fork() -> bool:
     )
 
 
-def _install(fn) -> None:
+def worker_count(n: int) -> int:
+    """The number of workers :func:`map_units` runs ``n`` units on: one
+    per usable CPU up to ``n``, and 1 where it runs them in this process."""
+    workers = min(usable_cpus(), n)
+    return workers if workers > 1 and _may_fork() else 1
+
+
+def contiguous_shares(sizes, count: int) -> list[list[tuple[int, int, int]]]:
+    """Cut the items of consecutive groups, ``sizes[g]`` items in group
+    ``g``, into at most ``count`` contiguous shares of ``ceil(total /
+    count)`` items; only the last share may be shorter. A share is a list
+    of ``(group, start, stop)`` pieces, in item order."""
+    total = sum(sizes)
+    size = max(1, -(-total // count))
+    shares = [[] for _ in range(-(-total // size))]
+    first = 0  # the group's first item, counted over all groups
+    for group, n in enumerate(sizes):
+        item = first
+        while item < first + n:
+            stop = min(first + n, (item // size + 1) * size)
+            shares[item // size].append((group, item - first, stop - first))
+            item = stop
+        first += n
+    return shares
+
+
+def _install(fn, started, cpus) -> None:
+    """Start a worker: install the unit function, then move the k-th
+    worker started onto CPU k of ``cpus`` and give it all of ``cpus``
+    back, so that the pool's workers begin on different CPUs."""
     global _unit_fn
     _unit_fn = fn
+    if not cpus:
+        return
+    with started.get_lock():
+        k = started.value
+        started.value += 1
+    try:
+        os.sched_setaffinity(0, (cpus[k % len(cpus)],))
+        os.sched_setaffinity(0, cpus)
+    except OSError:  # a CPU went away since the fork: stay where we are
+        pass
 
 
 def _run_unit(index: int):
@@ -86,21 +132,24 @@ def _run_unit(index: int):
 
 
 def map_units(fn: Callable[[int], R], n: int) -> list[R]:
-    """``[fn(i) for i in range(n)]``, on up to one worker per usable CPU.
+    """``[fn(i) for i in range(n)]``, on :func:`worker_count` workers.
 
     An exception from ``fn`` reaches the caller as it would in a serial run:
     results are read in unit order, so the lowest failing unit's exception
     wins, and units not yet started are cancelled. A worker that dies
     raises :class:`EpicastError`.
     """
-    workers = min(usable_cpus(), n)
-    if workers <= 1 or not _may_fork():
+    workers = worker_count(n)
+    if workers <= 1:
         return [fn(i) for i in range(n)]
+    context = multiprocessing.get_context("fork")
+    cpus = (sorted(os.sched_getaffinity(0))
+            if hasattr(os, "sched_setaffinity") else [])
     pool = ProcessPoolExecutor(
         workers,
-        mp_context=multiprocessing.get_context("fork"),
+        mp_context=context,
         initializer=_install,
-        initargs=(fn,),
+        initargs=(fn, context.Value("i", 0), cpus),
     )
     try:
         return list(pool.map(_run_unit, range(n)))

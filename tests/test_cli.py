@@ -154,25 +154,27 @@ class TestAdjustCommand:
         assert_one_error_line(capsys)
         assert not out.exists()
 
-    def test_excluded_state_renormalises(self, tmp_path, panel, capsys):
-        from epicast.hybrid import fit_tagged_models
-        from epicast.neural import TdnnConfig
+    def test_excluded_state_renormalises(self, tmp_path, panel, capsys,
+                                         monkeypatch):
+        from epicast import forecasters
 
         path = tmp_path / "panel.csv"
         panel.to_csv(path)
+        holt_fit = forecasters.holt_fit
 
-        def flaky_fit(series):
+        def flaky_holt_fit(series):
             if series.name == "kerala":
                 raise EpicastError("synthetic failure")
-            return fit_tagged_models(series, ["holt"], TdnnConfig(seed=1))["holt"]
+            return holt_fit(series)
 
+        monkeypatch.setattr(forecasters, "holt_fit", flaky_holt_fit)
         out = tmp_path / "out"
         args = SimpleNamespace(
             input=str(path), model="holt", seed=1, out=str(out),
             lags=None, hidden=None, repeats=None, epochs=None,
             weight_mode="last",
         )
-        cmd_adjust(args, fit_one=flaky_fit)
+        cmd_adjust(args)
         rows = read_csv(out / "adjustment.csv")
         names = [r[0] for r in rows[1:-1]]
         assert "kerala" not in names
@@ -181,27 +183,30 @@ class TestAdjustCommand:
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
         assert "kerala" in (out / "exclusions.txt").read_text()
 
-    def test_state_with_too_many_lags_is_excluded(self, tmp_path, panel):
+    def test_state_with_too_many_lags_is_excluded(self, tmp_path, panel,
+                                                   monkeypatch):
         # 302 lags leave no training pair in kerala's 302 Holt residuals
-        from epicast.hybrid import fit_tagged_models
-        from epicast.neural import TdnnConfig
+        from dataclasses import replace
+
+        from epicast import cli
 
         path = tmp_path / "panel.csv"
         panel.to_csv(path)
+        hybrid_problem = cli.hybrid_problem
 
-        def fit(series):
-            lags = 302 if series.name == "kerala" else 4
-            config = TdnnConfig(lags=lags, repeats=1, epochs=5, seed=1)
-            return fit_tagged_models(series, ["holt-wbann"],
-                                     config)["holt-wbann"]
+        def kerala_with_302_lags(series, base_kind, config, base):
+            if series.name == "kerala":
+                config = replace(config, lags=302)
+            return hybrid_problem(series, base_kind, config, base)
 
+        monkeypatch.setattr(cli, "hybrid_problem", kerala_with_302_lags)
         out = tmp_path / "out"
         args = SimpleNamespace(
             input=str(path), model="holt-wbann", seed=1, out=str(out),
-            lags=None, hidden=None, repeats=None, epochs=None,
+            lags=None, hidden=None, repeats=1, epochs=5,
             weight_mode="last",
         )
-        cmd_adjust(args, fit_one=fit)
+        cmd_adjust(args)
         names = [r[0] for r in read_csv(out / "adjustment.csv")[1:-1]]
         assert names == [s.name for s in panel.states if s.name != "kerala"]
         assert "lags = 302" in (out / "exclusions.txt").read_text()

@@ -9,18 +9,30 @@ import sys
 import threading
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import test_cli
-from epicast import cli, evaluate, parallel
+from epicast import cli, evaluate, forecasters, parallel
 from epicast.core import load_india_series
-from epicast.errors import EpicastError, FitError
-from epicast.hybrid import fit_tagged_models
-from epicast.neural import TdnnConfig
+from epicast.errors import EpicastError, FitError, TrainingError
+from epicast.neural import (
+    TdnnConfig,
+    WbannProblem,
+    _descend,
+    _init_weights,
+    wbann_train,
+)
 from epicast.parallel import map_units
 
 from conftest import linear_series
 from test_cli import FAST_FLAGS, assert_one_error_line, run, write_series_csv
+from test_neural import _descend_outcome
+
+
+ADJUST_WORKERS = (1, 2, 3, 5)
 
 
 def set_workers(monkeypatch, count):
@@ -148,12 +160,14 @@ class TestSameBytesForAnyWorkerCount:
                                   "monitor.svg", "timeline.csv"]
         assert got[1] == got[2]
 
+    # 3 workers cut the panel's 42 residual components into shares of 14,
+    # which split the third and fifth series; 5 cut them into 9, 9, 9, 9, 6
     @pytest.mark.parametrize("weight_mode", ["last", "ewma:0.9"])
     def test_adjust(self, tmp_path, monkeypatch, panel, weight_mode):
         path = tmp_path / "panel.csv"
         panel.to_csv(path)
         got = {}
-        for count in (1, 2):
+        for count in ADJUST_WORKERS:
             set_workers(monkeypatch, count)
             out = tmp_path / f"out{count}"
             assert run(["adjust", "--input", path, "--model", "holt-wbann",
@@ -161,40 +175,110 @@ class TestSameBytesForAnyWorkerCount:
                         "--out", out, *FAST_FLAGS]) == 0
             got[count] = outputs(out)
         assert sorted(got[1]) == ["adjustment.csv"]
-        assert got[1] == got[2]
+        assert all(got[count] == got[1] for count in ADJUST_WORKERS)
 
     def test_adjust_with_exclusions(self, tmp_path, monkeypatch, panel):
         path = tmp_path / "panel.csv"
         panel.to_csv(path)
+        holt_fit = forecasters.holt_fit
 
-        def flaky_fit(series):
+        def flaky_holt_fit(series):
             if series.name in ("kerala", "karnataka"):
                 raise FitError(f"synthetic failure on {series.name}")
-            return fit_tagged_models(series, ["holt"], TdnnConfig(seed=1))["holt"]
+            return holt_fit(series)
 
-        got = {}
-        for count in (1, 2):
-            set_workers(monkeypatch, count)
-            out = tmp_path / f"out{count}"
-            args = SimpleNamespace(
-                input=str(path), model="holt", seed=1, out=str(out),
-                lags=None, hidden=None, repeats=None, epochs=None,
-                weight_mode="window:5",
+        monkeypatch.setattr(forecasters, "holt_fit", flaky_holt_fit)
+        for model in ("holt", "holt-wbann"):
+            got = {}
+            for count in ADJUST_WORKERS:
+                set_workers(monkeypatch, count)
+                out = tmp_path / model / f"out{count}"
+                args = SimpleNamespace(
+                    input=str(path), model=model, seed=1, out=str(out),
+                    lags=None, hidden=None, repeats=2, epochs=20,
+                    weight_mode="window:5",
+                )
+                cli.cmd_adjust(args)
+                got[count] = outputs(out)
+            assert got[1]["exclusions.txt"] == (
+                b"karnataka: synthetic failure on karnataka\n"
+                b"kerala: synthetic failure on kerala\n"
             )
-            cli.cmd_adjust(args, fit_one=flaky_fit)
-            got[count] = outputs(out)
-        assert got[1]["exclusions.txt"] == (
-            b"karnataka: synthetic failure on karnataka\n"
-            b"kerala: synthetic failure on kerala\n"
-        )
-        assert got[1] == got[2]
+            assert all(got[count] == got[1] for count in ADJUST_WORKERS)
 
     def test_excluded_state_renormalises_on_two_workers(
-        self, tmp_path, panel, capsys, two_workers
+        self, tmp_path, panel, capsys, monkeypatch, two_workers
     ):
         test_cli.TestAdjustCommand().test_excluded_state_renormalises(
-            tmp_path, panel, capsys
+            tmp_path, panel, capsys, monkeypatch
         )
+
+
+class TestContiguousShares:
+    def test_equal_shares_across_groups(self):
+        assert parallel.contiguous_shares([6, 6, 6], 2) == [
+            [(0, 0, 6), (1, 0, 3)], [(1, 3, 6), (2, 0, 6)],
+        ]
+
+    def test_short_last_share_and_empty_groups(self):
+        assert parallel.contiguous_shares([4, 0, 3], 3) == [
+            [(0, 0, 3)], [(0, 3, 4), (2, 0, 2)], [(2, 2, 3)],
+        ]
+
+    def test_never_an_empty_share(self):
+        assert parallel.contiguous_shares([1, 1], 5) == [[(0, 0, 1)],
+                                                         [(1, 0, 1)]]
+        assert parallel.contiguous_shares([], 2) == []
+
+
+class TestResidualShares:
+    """The panel's residual networks trained in shares, on any cut, give
+    the bits and the divergence text of one whole-stack descent."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        shares=st.integers(1, 12),
+        r=st.integers(1, 4),
+        epochs=st.integers(1, 60),
+        log_rate=st.floats(-1.0, 13.0),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_as_whole_stack(self, sizes, shares, r, epochs, log_rate,
+                                 data_seed):
+        rng = np.random.default_rng(data_seed)
+        p, h = 3, 2
+        config = TdnnConfig(lags=p, hidden=h, repeats=r, epochs=epochs,
+                            learning_rate=10.0 ** log_rate)
+        problems = []
+        for c in sizes:
+            n = int(rng.integers(2, 30))
+            scale = 10.0 ** rng.uniform(-1.0, 3.0)
+            inits = [_init_weights(np.random.default_rng(data_seed + k),
+                                   r, p, h) for k in range(c)]
+            problems.append(WbannProblem(
+                config=config, mra=None, scales=None,
+                inputs=scale * rng.normal(size=(c, n, p)),
+                targets=scale * rng.normal(size=(c, n)),
+                weights={key: np.stack([w[key] for w in inits])
+                         for key in inits[0]},
+            ))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "usable_cpus", lambda: 1)  # in-process
+            patch.setattr(cli, "worker_count", lambda n: shares)
+            got = cli._train_residuals(problems)
+        for problem, trained in zip(problems, got):
+            want = _descend_outcome(
+                _descend, problem.weights, problem.inputs, problem.targets,
+                config, list(range(problem.n_components)))
+            event("diverged" if isinstance(want, str) else "trained")
+            if trained is None:  # the caller trains the whole stack again
+                with pytest.raises(TrainingError) as caught:
+                    wbann_train(problem)
+                assert str(caught.value) == want
+            else:
+                assert {key: (w.shape, w.tobytes())
+                        for key, w in trained.items()} == want
 
 
 class TestFailuresInWorkers:
@@ -236,19 +320,29 @@ class TestFailuresInWorkers:
         assert_one_error_line(capsys)
         assert not monitor_argv[-1].exists()
 
-    def test_dead_adjust_worker_exits_one(self, tmp_path, monkeypatch, capsys,
-                                          panel, two_workers):
-        def dying_fit(series, tags, config=None):
+    def run_adjust_with_dying(self, tmp_path, monkeypatch, capsys, panel,
+                              model, module, name):
+        def dying_fit(*args):
             os._exit(1)
 
-        monkeypatch.setattr(cli, "fit_tagged_models", dying_fit)
+        monkeypatch.setattr(module, name, dying_fit)
         path = tmp_path / "panel.csv"
         panel.to_csv(path)
         out = tmp_path / "out"
-        assert run(["adjust", "--input", path, "--model", "holt",
+        assert run(["adjust", "--input", path, "--model", model,
                     "--out", out]) == 1
         assert_one_error_line(capsys)
         assert not out.exists()
+
+    def test_dead_adjust_worker_exits_one(self, tmp_path, monkeypatch, capsys,
+                                          panel, two_workers):
+        self.run_adjust_with_dying(tmp_path, monkeypatch, capsys, panel,
+                                   "holt", forecasters, "holt_fit")
+
+    def test_dead_residual_share_worker_exits_one(
+            self, tmp_path, monkeypatch, capsys, panel, two_workers):
+        self.run_adjust_with_dying(tmp_path, monkeypatch, capsys, panel,
+                                   "holt-wbann", cli, "wbann_train")
 
 
 def python_output(code):
@@ -279,8 +373,11 @@ def test_arima_kernel_imported_before_the_fork():
         from epicast.core import load_india_series
         parallel.usable_cpus = lambda: 2
         series = load_india_series().prefix(40)
-        for tag in ("holt", "arima"):
+        for tag in ("holt", "arima(1,1,0)", "arima"):
             evaluate.monitor(series, [tag], k=4)
             print(tag, "scipy.signal" in sys.modules)
     """
-    assert python_output(code) == "holt False\narima True\n"
+    # a fixed order without an MA part never filters, so it leaves scipy out
+    assert python_output(code) == (
+        "holt False\narima(1,1,0) False\narima True\n"
+    )
