@@ -82,6 +82,17 @@ def compute_weights(last_observed_states, last_fitted_states) -> np.ndarray:
     return compute_weights_history(last_observed_states, last_fitted_states)
 
 
+def check_weight_rule(mode: str, window: int = 7, decay: float = 0.9) -> None:
+    """Raise :class:`ValidationError` unless ``mode`` names a weight rule
+    and its ``window`` or ``decay`` lies in range."""
+    if mode not in ("last", "window", "ewma"):
+        raise ValidationError(f"unknown weight mode {mode!r}")
+    if mode == "window" and window < 1:
+        raise ValidationError("window must be >= 1")
+    if mode == "ewma" and not 0.0 < decay <= 1.0:
+        raise ValidationError("decay must lie in (0, 1]")
+
+
 def compute_weights_history(
     observed: np.ndarray, fitted: np.ndarray, mode: str = "last",
     window: int = 7, decay: float = 0.9,
@@ -98,20 +109,15 @@ def compute_weights_history(
         raise ValidationError(f"need a days x states history, got {obs.shape}")
     if not (np.isfinite(obs).all() and np.isfinite(fit).all()):
         raise ValidationError("observed/fitted histories must be finite")
+    check_weight_rule(mode, window, decay)
     sq = np.atleast_2d(obs - fit) ** 2
     if mode == "last":
         scores = sq[-1]
     elif mode == "window":
-        if window < 1:
-            raise ValidationError("window must be >= 1")
         scores = sq[-window:].mean(axis=0)
-    elif mode == "ewma":
-        if not 0.0 < decay <= 1.0:
-            raise ValidationError("decay must lie in (0, 1]")
+    else:
         lam = decay ** np.arange(len(sq) - 1, -1, -1, dtype=float)
         scores = (lam[:, None] * sq).sum(axis=0) / lam.sum()
-    else:
-        raise ValidationError(f"unknown weight mode {mode!r}")
     return _normalise_squared(scores)
 
 

@@ -20,29 +20,17 @@ import sys
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from . import adjust as adjust_mod
 from . import epi
-from .core import HierarchicalPanel, parse_panel_csv, parse_series_csv
-from .errors import EpicastError, TrainingError, ValidationError
+from .core import parse_panel_csv, parse_series_csv
+from .errors import EpicastError, ValidationError
 from .evaluate import monitor, shelf_life
-from .forecasters import import_kernels
-from .hybrid import (
-    MODEL_TAGS,
-    HybridForecaster,
-    HybridProblem,
-    fit_tagged_models,
-    hybrid_fitted,
-    hybrid_forecast,
-    hybrid_model,
-    hybrid_problem,
-    make_forecaster,
-)
-from .neural import TdnnConfig, wbann_train
-from .parallel import contiguous_shares, map_units, worker_count
+from .forecasters import check_horizon
+from .hybrid import MODEL_TAGS, fit_panel, fit_tagged_models
+from .neural import TdnnConfig
 
 log = logging.getLogger("epicast")
 
@@ -136,16 +124,19 @@ def _parse_weight_mode(text: str):
     mode = parts[0]
     try:
         if mode == "last" and len(parts) == 1:
-            return {"mode": "last"}
-        if mode == "window" and len(parts) == 2:
-            return {"mode": "window", "window": int(parts[1])}
-        if mode == "ewma" and len(parts) == 2:
-            return {"mode": "ewma", "decay": float(parts[1])}
+            rule = {"mode": "last"}
+        elif mode == "window" and len(parts) == 2:
+            rule = {"mode": "window", "window": int(parts[1])}
+        elif mode == "ewma" and len(parts) == 2:
+            rule = {"mode": "ewma", "decay": float(parts[1])}
+        else:
+            raise ValueError(mode)
     except ValueError:
-        pass
-    raise ValidationError(
-        f"bad --weight-mode {text!r}; expected last, window:K or ewma:LAMBDA"
-    )
+        raise ValidationError(
+            f"bad --weight-mode {text!r}; expected last, window:K or ewma:LAMBDA"
+        ) from None
+    adjust_mod.check_weight_rule(**rule)  # out of range fails before any fit
+    return rule
 
 
 def _parse_growth_window(text: str) -> tuple[int, int]:
@@ -160,6 +151,7 @@ def _parse_growth_window(text: str) -> tuple[int, int]:
 
 def cmd_forecast(args) -> list[Path]:
     series = parse_series_csv(args.input)
+    check_horizon(args.horizon)  # fail before the fit, not after it
     (model,) = fit_tagged_models(series, [args.model], _tdnn_config(args)).values()
     raw = model.forecast(args.horizon)
     out_dir = Path(args.out)
@@ -181,138 +173,44 @@ def cmd_forecast(args) -> list[Path]:
     return _emit(outputs, optional=[out_dir / "forecast.svg"])
 
 
-class _SeriesFit(NamedTuple):
-    """What the adjustment reads of one fitted series."""
-
-    fitted: np.ndarray  # one-step fitted values, NaN where undefined
-    forecast: float  # next-day point forecast
-
-
-def _fit_or_reason(index: int, fit, *args):
-    """``fit(*args)`` for panel series ``index``, or the message of its
-    error; an error on the national series (index 0) raises."""
-    try:
-        return fit(*args)
-    except EpicastError as exc:
-        if index == 0:
-            raise
-        return str(exc)
-
-
-def _train_residuals(problems) -> list:
-    """Train the residual networks of every ``WbannProblem`` in
-    ``problems`` on :func:`map_units`: their components, in (problem,
-    component) order, are cut into one contiguous share per worker.
-
-    Returns each problem's trained weights, stacked as in the problem, or
-    ``None`` where one of its pieces diverged. The caller then trains that
-    problem whole, which stops at the same epoch and names the same
-    (component, restart) as a serial fit: its pieces alone cannot, since
-    the pair a serial fit names may sit in a piece whose gradients were
-    still finite at that epoch.
-    """
-    sizes = [problem.n_components for problem in problems]
-    shares = contiguous_shares(sizes, worker_count(sum(sizes)))
-
-    def train_share(index: int) -> list:
-        trained = []
-        for series, start, stop in shares[index]:
-            try:
-                trained.append(wbann_train(problems[series], start, stop))
-            except TrainingError:
-                trained.append(None)
-        return trained
-
-    pieces = [[] for _ in problems]
-    for share, trained in zip(shares, map_units(train_share, len(shares))):
-        for (series, _, _), weights in zip(share, trained):
-            pieces[series].append(weights)
-    return [
-        None if any(w is None for w in parts)
-        else {key: np.concatenate([w[key] for w in parts]) for key in parts[0]}
-        for parts in pieces
-    ]
-
-
-def _fit_panel(panel: HierarchicalPanel, model: str, config: TdnnConfig):
-    """Fit the chosen model nationally and per state. Returns the national
-    ``_SeriesFit``, a ``(series, _SeriesFit)`` pair per state that fit, and
-    a ``(name, reason)`` pair per state whose fit failed; a national
-    failure raises.
-
-    A hybrid tag fits in three rounds, so that the residual networks, which
-    cost the most, reach every worker in equal shares whatever the number
-    of series: one unit per series on :func:`map_units` fits the base and
-    frames the residual problem (other tags finish there);
-    :func:`_train_residuals` trains the networks; and this process
-    assembles each model and reads its fit and forecast.
-    """
-    tag = make_forecaster(model).tag  # a bad tag fails here, before any fit
-    units = [panel.national, *panel.states]
-    import_kernels([tag])
-
-    def prepare(series):
-        built = make_forecaster(tag, config)
-        if not isinstance(built, HybridForecaster):
-            built.fit(series)
-            return _SeriesFit(built.fitted(), float(built.forecast(1)[0]))
-        base = make_forecaster(built.base_kind).fit(series)
-        return hybrid_problem(series, built.base_kind, config, base)
-
-    def finish(problem, weights):
-        fitted_model = hybrid_model(problem, weights)
-        return _SeriesFit(hybrid_fitted(fitted_model),
-                          float(hybrid_forecast(fitted_model, 1)[0]))
-
-    results = map_units(lambda i: _fit_or_reason(i, prepare, units[i]),
-                        len(units))
-    hybrids = [i for i, r in enumerate(results)
-               if isinstance(r, HybridProblem)]
-    trained = _train_residuals([results[i].residual for i in hybrids])
-    for index, weights in zip(hybrids, trained):
-        results[index] = _fit_or_reason(index, finish, results[index], weights)
-
-    national, *rest = results
-    states, excluded = [], []
-    for s, result in zip(panel.states, rest):
-        if isinstance(result, str):
-            excluded.append((s.name, result))
-        else:
-            states.append((s, result))
-    if not states:
-        raise ValidationError("every state failed to fit; nothing to adjust")
-    return national, states, excluded
-
-
 def cmd_adjust(args) -> list[Path]:
     panel = parse_panel_csv(args.input)
     config = _tdnn_config(args)
     mode = _parse_weight_mode(args.weight_mode)
-    national, state_fits, excluded = _fit_panel(panel, args.model, config)
+    national, models = fit_panel(panel, args.model, config)
+    # a state whose fit failed is left out, and the others share its weight
+    states = [(s, m) for s, m in zip(panel.states, models)
+              if not isinstance(m, EpicastError)]
+    excluded = [(s.name, str(m)) for s, m in zip(panel.states, models)
+                if isinstance(m, EpicastError)]
+    if not states:
+        raise ValidationError("every state failed to fit; nothing to adjust")
     for name, reason in excluded:
         log.warning("excluding %s: %s", name, reason)
 
-    state_forecasts = np.array([f.forecast for _, f in state_fits])
+    state_forecasts = np.array([m.forecast(1)[0] for _, m in states])
+    fitted = [m.fitted() for _, m in states]
     # fitted values are defined on a tail of each series, up to its last day
-    depth = min(int(np.isfinite(f.fitted).sum()) for _, f in state_fits)
-    obs_hist = np.column_stack([s.values[-depth:] for s, _ in state_fits])
-    fit_hist = np.column_stack([f.fitted[-depth:] for _, f in state_fits])
+    depth = min(int(np.isfinite(f).sum()) for f in fitted)
+    obs_hist = np.column_stack([s.values[-depth:] for s, _ in states])
+    fit_hist = np.column_stack([f[-depth:] for f in fitted])
     weights = adjust_mod.compute_weights_history(obs_hist, fit_hist, **mode)
 
+    nat_unadj = float(national.forecast(1)[0])
     adjustment = adjust_mod.adjust_forecasts(
         adjust_mod.AdjustmentInput(
             state_forecasts=state_forecasts,
-            national_forecast=national.forecast,
+            national_forecast=nat_unadj,
             last_observed_states=obs_hist[-1],
             last_fitted_states=fit_hist[-1],
             last_observed_national=float(panel.national.values[-1]),
-            last_fitted_national=float(national.fitted[-1]),
+            last_fitted_national=float(national.fitted()[-1]),
         ),
         weights=weights,
     )
     rows = []
     for (s, _), unadj, w, corr in zip(
-        state_fits,
+        states,
         state_forecasts,
         adjustment.weights,
         adjustment.corrected_state_forecasts - state_forecasts,
@@ -320,7 +218,6 @@ def cmd_adjust(args) -> list[Path]:
         rows.append(
             [s.name, _fmt(unadj), _fmt(w), _fmt(corr), _fmt(unadj + corr)]
         )
-    nat_unadj = national.forecast
     rows.append(
         [
             panel.national.name,

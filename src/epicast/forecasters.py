@@ -30,6 +30,12 @@ MAX_DIFF = 2
 SELECTION_BUDGET = 30  # Nelder-Mead evaluations per parameter while ranking orders
 
 
+def check_horizon(h: int) -> None:
+    """Raise :class:`ValidationError` for a negative forecast horizon."""
+    if h < 0:
+        raise ValidationError("horizon must be nonnegative")
+
+
 class Forecaster(abc.ABC):
     """Uniform fit/fitted/residuals/forecast surface over all models.
 
@@ -137,8 +143,7 @@ def holt_fit(series: UnivariateSeries) -> tuple[HoltParams, HoltState]:
 
 def holt_forecast(state: HoltState, h: int) -> np.ndarray:
     """h-step forecasts from the final level and trend."""
-    if h < 0:
-        raise ValidationError("horizon must be nonnegative")
+    check_horizon(h)
     steps = np.arange(1, h + 1)
     return state.level[-1] + steps * state.trend[-1]
 
@@ -479,8 +484,7 @@ def arima_fit(
 def arima_forecast(model: ArimaModel, h: int) -> np.ndarray:
     """Recursive point forecasts with future innovations at zero, integrated
     back through the model's differences."""
-    if h < 0:
-        raise ValidationError("horizon must be nonnegative")
+    check_horizon(h)
     if h == 0:
         return np.empty(0)
     p, d, q = model.order

@@ -4,7 +4,8 @@ of the two phases, so the residual model can only add information the base
 model left behind.
 
 :func:`make_forecaster` is the one parser of model tags; its docstring
-gives the grammar.
+gives the grammar. :func:`fit_panel` fits one tag on every series of a
+panel, side by side on :func:`~epicast.parallel.map_units`.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import UnivariateSeries
-from .errors import InsufficientDataError, ValidationError
-from .forecasters import ArimaForecaster, Forecaster, HoltForecaster
+from .core import HierarchicalPanel, UnivariateSeries
+from .errors import EpicastError, InsufficientDataError, TrainingError, ValidationError
+from .forecasters import ArimaForecaster, Forecaster, HoltForecaster, import_kernels
 from .neural import (
     TdnnConfig,
     WbannModel,
@@ -27,6 +28,7 @@ from .neural import (
     wbann_problem,
     wbann_train,
 )
+from .parallel import contiguous_shares, map_units, worker_count
 
 MODEL_TAGS = ("arima", "arima-wbf", "holt", "holt-wbann")
 
@@ -45,15 +47,13 @@ class HybridModel:
 
 
 @dataclass
-class HybridProblem:
-    """A fitted base model and the training problem of the residual
-    network on its errors, for a caller that trains the network itself."""
+class _HybridProblem:
+    """A fitted base model, its leading undefined span and the training
+    problem of the residual network on its errors."""
 
     base: Forecaster
-    residual: WbannProblem = field(repr=False)
-    base_kind: str
-    n_obs: int
     base_skip: int
+    residual: WbannProblem = field(repr=False)
 
 
 @contextmanager
@@ -98,26 +98,13 @@ def hybrid_fit(
     return HybridModel(base, residual_model, base_kind, len(series), skip)
 
 
-def hybrid_problem(series: UnivariateSeries, base_kind: str,
-                   config: TdnnConfig, base: Forecaster) -> HybridProblem:
+def _hybrid_problem(series: UnivariateSeries, base_kind: str,
+                    config: TdnnConfig, base: Forecaster) -> _HybridProblem:
     """The first half of :func:`hybrid_fit` on a prefit ``base``: frame
     the residual network's training problem without training it."""
     base, skip, residuals = _base_residuals(series, base_kind, base)
     with _phase("residual (wbann)"):
-        residual = wbann_problem(residuals, config)
-    return HybridProblem(base, residual, base_kind, len(series), skip)
-
-
-def hybrid_model(problem: HybridProblem, trained: dict | None) -> HybridModel:
-    """The second half of :func:`hybrid_fit`: the model from the residual
-    network's trained weights, stacked as in its problem. ``None`` trains
-    them here, as :func:`hybrid_fit` would."""
-    with _phase("residual (wbann)"):
-        if trained is None:
-            trained = wbann_train(problem.residual)
-        residual_model = wbann_model(problem.residual, trained)
-    return HybridModel(problem.base, residual_model, problem.base_kind,
-                       problem.n_obs, problem.base_skip)
+        return _HybridProblem(base, skip, wbann_problem(residuals, config))
 
 
 def hybrid_fitted(model: HybridModel) -> np.ndarray:
@@ -208,3 +195,99 @@ def fit_tagged_models(
         else:
             fitted[model.tag] = fit_base(model)
     return fitted
+
+
+def _fit_or_error(index: int, fit, *args):
+    """``fit(*args)`` for panel series ``index``, or the error it raised;
+    an error on the national series (index 0) raises."""
+    try:
+        return fit(*args)
+    except EpicastError as exc:
+        if index == 0:
+            raise
+        return exc
+
+
+def _train_residuals(problems) -> list:
+    """Train the residual networks of every ``WbannProblem`` in
+    ``problems`` on :func:`map_units`: their components, in (problem,
+    component) order, are cut into one contiguous share per worker.
+
+    Returns each problem's trained weights, stacked as in the problem, or
+    ``None`` where one of its pieces diverged. The caller then trains that
+    problem whole, to stop at the epoch and name the (component, restart)
+    of a serial fit, which may sit in a piece that was still finite then.
+    """
+    sizes = [problem.n_components for problem in problems]
+    shares = contiguous_shares(sizes, worker_count(sum(sizes)))
+
+    def train_share(index: int) -> list:
+        trained = []
+        for series, start, stop in shares[index]:
+            try:
+                trained.append(wbann_train(problems[series], start, stop))
+            except TrainingError:
+                trained.append(None)
+        return trained
+
+    pieces = [[] for _ in problems]
+    for share, trained in zip(shares, map_units(train_share, len(shares))):
+        for (series, _, _), weights in zip(share, trained):
+            pieces[series].append(weights)
+    return [
+        None if any(w is None for w in parts)
+        else {key: np.concatenate([w[key] for w in parts]) for key in parts[0]}
+        for parts in pieces
+    ]
+
+
+def fit_panel(panel: HierarchicalPanel, tag: str,
+              config: TdnnConfig | None = None) -> tuple[Forecaster, list]:
+    """Fit ``tag`` on the national series and every state of ``panel``.
+
+    Returns the fitted national model, whose error raises before any
+    residual network trains, and per state its fitted model or the
+    :class:`EpicastError` its fit raised. Each model has the bits of
+    :func:`fit_tagged_models` on its series, for any number of workers.
+
+    A hybrid tag fits in three rounds, so that the residual networks, which
+    cost the most, reach every worker in equal shares whatever the number
+    of series: one unit per series on :func:`map_units` fits the base and
+    frames the residual problem (other tags finish there);
+    :func:`_train_residuals` trains the networks; and this process
+    assembles each model.
+    """
+    tag = make_forecaster(tag).tag  # a bad tag fails here, before any fit
+    series = [panel.national, *panel.states]
+    import_kernels([tag])
+
+    def frame(index: int):
+        model = make_forecaster(tag, config)
+        if not isinstance(model, HybridForecaster):
+            return model.fit(series[index])
+        base = make_forecaster(model.base_kind).fit(series[index])
+        return _hybrid_problem(series[index], model.base_kind, model.config,
+                               base)
+
+    def assemble(index: int, problem: _HybridProblem,
+                 trained: dict | None) -> HybridForecaster:
+        model = make_forecaster(tag, config)
+        with _phase("residual (wbann)"):
+            if trained is None:  # a piece diverged: train the stack whole
+                trained = wbann_train(problem.residual)
+            residual_model = wbann_model(problem.residual, trained)
+        model._observed = np.asarray(series[index].values, dtype=float)
+        model.model = HybridModel(problem.base, residual_model,
+                                  model.base_kind, len(model._observed),
+                                  problem.base_skip)
+        return model
+
+    results = map_units(lambda i: _fit_or_error(i, frame, i), len(series))
+    hybrids = [i for i, r in enumerate(results)
+               if isinstance(r, _HybridProblem)]
+    trained = _train_residuals([results[i].residual for i in hybrids])
+    for index, weights in zip(hybrids, trained):
+        results[index] = _fit_or_error(index, assemble, index,
+                                       results[index], weights)
+    national, *states = results
+    return national, states

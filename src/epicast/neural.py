@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InsufficientDataError, TrainingError, ValidationError
+from .forecasters import check_horizon
 from .wavelet import WaveletMra, choose_levels, modwt_haar
 
 
@@ -229,8 +230,7 @@ def tdnn_forecast(model: TdnnModel, history, h: int) -> np.ndarray:
     p = model.config.lags
     if hist.shape != (p,):
         raise ValidationError(f"history must hold exactly {p} values")
-    if h < 0:
-        raise ValidationError("horizon must be nonnegative")
+    check_horizon(h)
     window = list(model._scale(hist))
     scaled_out = np.empty(h)
     for i in range(h):

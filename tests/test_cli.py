@@ -188,18 +188,18 @@ class TestAdjustCommand:
         # 302 lags leave no training pair in kerala's 302 Holt residuals
         from dataclasses import replace
 
-        from epicast import cli
+        from epicast import hybrid
 
         path = tmp_path / "panel.csv"
         panel.to_csv(path)
-        hybrid_problem = cli.hybrid_problem
+        hybrid_problem = hybrid._hybrid_problem
 
         def kerala_with_302_lags(series, base_kind, config, base):
             if series.name == "kerala":
                 config = replace(config, lags=302)
             return hybrid_problem(series, base_kind, config, base)
 
-        monkeypatch.setattr(cli, "hybrid_problem", kerala_with_302_lags)
+        monkeypatch.setattr(hybrid, "_hybrid_problem", kerala_with_302_lags)
         out = tmp_path / "out"
         args = SimpleNamespace(
             input=str(path), model="holt-wbann", seed=1, out=str(out),
@@ -392,6 +392,23 @@ class TestFailureModes:
                     "--out", out]) == 1
         assert not out.exists()
 
+    @staticmethod
+    def run_without_fits(monkeypatch, tmp_path, command, *flags):
+        """Run ``command`` on its fixture with every fit entry point made to
+        fail, and check that it exits 1 and writes no outputs."""
+        def no_fits(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr("epicast.evaluate.map_units", no_fits)
+        monkeypatch.setattr("epicast.hybrid.map_units", no_fits)
+        monkeypatch.setattr("epicast.cli.fit_tagged_models", no_fits)
+        fixture = {"adjust": "india_panel.csv"}.get(command,
+                                                    "india_confirmed.csv")
+        out = tmp_path / "out"
+        assert run([command, "--input", fixture_path(fixture), *flags,
+                    "--out", out]) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, model", [
         ("monitor", "holt-wbann,arima(9,1,0)"),
         ("monitor", "holt,HOLT"),
@@ -400,20 +417,24 @@ class TestFailureModes:
     ])
     def test_bad_or_repeated_tag_exits_before_any_fit(
             self, tmp_path, capsys, monkeypatch, command, model):
-        def no_fits(*args, **kwargs):
-            raise AssertionError("a model was fitted")
-
-        monkeypatch.setattr("epicast.evaluate.map_units", no_fits)
-        monkeypatch.setattr("epicast.cli.map_units", no_fits)
-        fixture = {"adjust": "india_panel.csv", "monitor": "india_confirmed.csv"}
-        out = tmp_path / "out"
-        assert run([command, "--input", fixture_path(fixture[command]),
-                    "--model", model, "--out", out]) == 1
+        self.run_without_fits(monkeypatch, tmp_path, command, "--model", model)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         if "HOLT" in model:
             assert "'holt'" in err
-        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("adjust", "--weight-mode", "window:0", "window must be >= 1"),
+        ("adjust", "--weight-mode", "ewma:0", "decay must lie in (0, 1]"),
+        ("adjust", "--weight-mode", "ewma:1.5", "decay must lie in (0, 1]"),
+        ("forecast", "--horizon", "-1", "horizon must be nonnegative"),
+    ])
+    def test_out_of_range_flag_exits_before_any_fit(
+            self, tmp_path, capsys, monkeypatch, command, flag, value,
+            message):
+        self.run_without_fits(monkeypatch, tmp_path, command,
+                              f"{flag}={value}")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_sigmoid_overflow_is_silent(self, tmp_path):
         # 300 lags drive some hidden units so far into saturation that

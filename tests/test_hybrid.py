@@ -3,10 +3,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from epicast import parallel
 from epicast.errors import EpicastError, InsufficientDataError, ValidationError
 from epicast.hybrid import (
     MODEL_TAGS,
     HybridModel,
+    fit_panel,
     fit_tagged_models,
     hybrid_fit,
     hybrid_fitted,
@@ -161,3 +163,22 @@ class TestRegistry:
         assert np.array_equal(
             shared["holt-wbann"].forecast(5), standalone.forecast(5)
         )
+
+
+class TestFitPanel:
+    @pytest.mark.parametrize("tag", ["holt", "holt-wbann", "arima(1,1,0)"])
+    def test_same_bytes_as_one_series_fits(self, panel, monkeypatch, tag):
+        # the panel fit cuts the residual networks across series and
+        # workers; each series must still get its one-series fit's bits
+        config = TdnnConfig(repeats=2, epochs=30, seed=4)
+
+        def outputs(model):
+            return model.fitted().tobytes(), model.forecast(1).tobytes()
+
+        want = [outputs(*fit_tagged_models(s, [tag], config).values())
+                for s in (panel.national, *panel.states)]
+        for workers in (1, 2):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
+            assert parallel.worker_count(len(want)) == workers
+            national, states = fit_panel(panel, tag, config)
+            assert [outputs(m) for m in (national, *states)] == want

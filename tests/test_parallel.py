@@ -15,7 +15,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import test_cli
-from epicast import cli, evaluate, forecasters, parallel
+from epicast import cli, evaluate, forecasters, hybrid, parallel
 from epicast.core import load_india_series
 from epicast.errors import EpicastError, FitError, TrainingError
 from epicast.neural import (
@@ -265,8 +265,8 @@ class TestResidualShares:
             ))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(parallel, "usable_cpus", lambda: 1)  # in-process
-            patch.setattr(cli, "worker_count", lambda n: shares)
-            got = cli._train_residuals(problems)
+            patch.setattr(hybrid, "worker_count", lambda n: shares)
+            got = hybrid._train_residuals(problems)
         for problem, trained in zip(problems, got):
             want = _descend_outcome(
                 _descend, problem.weights, problem.inputs, problem.targets,
@@ -342,7 +342,7 @@ class TestFailuresInWorkers:
     def test_dead_residual_share_worker_exits_one(
             self, tmp_path, monkeypatch, capsys, panel, two_workers):
         self.run_adjust_with_dying(tmp_path, monkeypatch, capsys, panel,
-                                   "holt-wbann", cli, "wbann_train")
+                                   "holt-wbann", hybrid, "wbann_train")
 
 
 def python_output(code):
