@@ -17,13 +17,11 @@ from .adjust import (
 )
 from .core import (
     HierarchicalPanel,
-    SplitSpec,
     UnivariateSeries,
     load_india_panel,
     load_india_series,
     parse_panel_csv,
     parse_series_csv,
-    split,
 )
 from .epi import (
     GenerationInterval,
@@ -65,11 +63,8 @@ from .forecasters import (
 )
 from .hybrid import (
     MODEL_TAGS,
-    HybridModel,
+    HybridForecaster,
     fit_tagged_models,
-    hybrid_fit,
-    hybrid_fitted,
-    hybrid_forecast,
     make_forecaster,
 )
 from .neural import (

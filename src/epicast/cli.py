@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import logging
 import os
 import sys
@@ -44,16 +45,17 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write(path: Path, kind: str, payload) -> None:
+    """Write one prepared output: ``("csv", (header, rows))`` or
+    ``("text", text)``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        if kind == "csv":
+            header, rows = payload
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            fh.write(payload)
 
 
 def _svg_chart(series_by_name: dict, title: str, width=720, height=360) -> str:
@@ -348,27 +350,39 @@ def cmd_r0(args) -> list[Path]:
 
 
 def _emit(outputs, optional=()) -> list[Path]:
-    """Write all prepared outputs; directories are created as needed.
+    """Write all prepared outputs, all or nothing; directories are created
+    as needed.
 
+    Each payload goes to a temporary file beside its target. The files are
+    renamed into place only once all are written and no target is a
+    directory; a failure before that removes them and changes no target.
     ``optional`` names the files the command writes only on some runs; any
-    of them this run did not write is removed, so a rerun into the same
-    directory leaves no stale file from an earlier run.
+    of them this run did not write is removed last, so a rerun into the
+    same directory leaves no stale file from an earlier run.
     """
-    written = []
-    for path, kind, payload in outputs:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if kind == "csv":
-            header, rows = payload
-            _write_csv(path, header, rows)
-        else:
-            _write_text(path, payload)
-        written.append(path)
-        log.info("wrote %s", path)
-    for path in optional:
-        if path not in written and path.exists():
-            path.unlink()
-            log.info("removed stale %s", path)
-    return written
+    targets = [path for path, _, _ in outputs]
+    stale = [path for path in optional
+             if path not in targets and path.exists()]
+    staged = []
+    try:
+        for path, kind, payload in outputs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            staged.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            _write(staged[-1], kind, payload)
+        for path in targets + stale:
+            if path.is_dir():
+                raise IsADirectoryError(
+                    errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for temporary, path in zip(staged, targets):
+            temporary.replace(path)
+            log.info("wrote %s", path)
+    finally:
+        for temporary in staged:
+            temporary.unlink(missing_ok=True)
+    for path in stale:
+        path.unlink()
+        log.info("removed stale %s", path)
+    return targets
 
 
 def build_parser() -> argparse.ArgumentParser:

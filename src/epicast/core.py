@@ -1,4 +1,4 @@
-"""Dated daily count series, hierarchical panels, CSV ingestion and splits.
+"""Dated daily count series, hierarchical panels and CSV ingestion.
 
 All types are immutable after construction and safe to share across threads.
 CSV schemas: ``date,value`` for a single series and
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import datetime
 import warnings
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -205,32 +204,6 @@ class HierarchicalPanel:
                 row = [d.isoformat(), _format_value(self.national.values[i])]
                 row += [_format_value(s.values[i]) for s in self.states]
                 writer.writerow(row)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Ordered train/test partition sizes: first ``train_len`` points train."""
-
-    train_len: int
-    test_len: int
-
-    def __post_init__(self):
-        if self.train_len < 1:
-            raise ValidationError("train_len must be a positive integer")
-        if self.test_len < 0:
-            raise ValidationError("test_len must be nonnegative")
-
-
-def split(series: UnivariateSeries, spec: SplitSpec):
-    """Split into (train, test) preserving order; test follows train directly."""
-    if spec.train_len + spec.test_len > len(series):
-        raise InsufficientDataError(
-            f"split {spec.train_len}+{spec.test_len} exceeds series length "
-            f"{len(series)}"
-        )
-    train = series.prefix(spec.train_len)
-    test = series.window(spec.train_len, spec.train_len + spec.test_len)
-    return train, test
 
 
 def _format_value(v: float) -> str:

@@ -36,17 +36,6 @@ HYBRID_BASES = {"holt-wbann": "holt", "arima-wbf": "arima"}
 
 
 @dataclass
-class HybridModel:
-    """A fitted base model and the residual network trained on its errors."""
-
-    base: Forecaster
-    residual_model: WbannModel = field(repr=False)
-    base_kind: str
-    n_obs: int
-    base_skip: int  # leading positions where the base has no fitted value
-
-
-@dataclass
 class _HybridProblem:
     """A fitted base model, its leading undefined span and the training
     problem of the residual network on its errors."""
@@ -83,51 +72,21 @@ def _base_residuals(series: UnivariateSeries, base_kind: str,
     return base, skip, series.values[skip:] - fitted[skip:]
 
 
-def hybrid_fit(
-    series: UnivariateSeries,
-    base_kind: str,
-    config: TdnnConfig | None = None,
-    base: Forecaster | None = None,
-) -> HybridModel:
-    """Fit the base on the full series, then the residual network on the
-    base's one-step errors. A prefit ``base`` for the same series may be
-    supplied to avoid refitting."""
-    base, skip, residuals = _base_residuals(series, base_kind, base)
-    with _phase("residual (wbann)"):
-        residual_model = wbann_fit(residuals, config or TdnnConfig())
-    return HybridModel(base, residual_model, base_kind, len(series), skip)
-
-
 def _hybrid_problem(series: UnivariateSeries, base_kind: str,
                     config: TdnnConfig, base: Forecaster) -> _HybridProblem:
-    """The first half of :func:`hybrid_fit` on a prefit ``base``: frame
-    the residual network's training problem without training it."""
+    """The first half of :meth:`HybridForecaster.fit` on a prefit
+    ``base``: frame the residual network's training problem without
+    training it."""
     base, skip, residuals = _base_residuals(series, base_kind, base)
     with _phase("residual (wbann)"):
         return _HybridProblem(base, skip, wbann_problem(residuals, config))
 
 
-def hybrid_fitted(model: HybridModel) -> np.ndarray:
-    """Base fitted plus residual fitted, aligned on the original index; NaN
-    where either phase defines no value."""
-    out = np.full(model.n_obs, np.nan)
-    base_fitted = model.base.fitted()
-    resid_fitted = model.residual_model.fitted_values
-    start = model.base_skip + model.residual_model.component_models[0].config.lags
-    offset = start - model.base_skip
-    out[start:] = base_fitted[start:] + resid_fitted[offset:]
-    return out
-
-
-def hybrid_forecast(model: HybridModel, h: int) -> np.ndarray:
-    """Base forecast plus residual forecast, elementwise."""
-    if h == 0:
-        return np.empty(0)
-    return model.base.forecast(h) + wbann_forecast(model.residual_model, h)
-
-
 class HybridForecaster(Forecaster):
-    """Hybrid composition under the shared forecaster contract."""
+    """A base model plus a residual network trained on its one-step
+    errors, under the shared forecaster contract. Once fitted it holds the
+    phases as ``base``, ``base_skip`` (the leading positions where the base
+    has no fitted value) and ``residual_model``."""
 
     def __init__(self, tag: str, base_kind: str, config: TdnnConfig | None = None):
         self.tag = tag
@@ -135,15 +94,39 @@ class HybridForecaster(Forecaster):
         self.config = config or TdnnConfig()
 
     def fit(self, train: UnivariateSeries, base: Forecaster | None = None):
+        """Fit the base on the full series, then the residual network on
+        the base's one-step errors. A prefit ``base`` for the same series
+        may be supplied to avoid refitting."""
+        base, skip, residuals = _base_residuals(train, self.base_kind, base)
+        with _phase("residual (wbann)"):
+            residual_model = wbann_fit(residuals, self.config)
+        return self._fitted_with(train, base, skip, residual_model)
+
+    def _fitted_with(self, train: UnivariateSeries, base: Forecaster,
+                     base_skip: int, residual_model: WbannModel):
+        """Hold the phases fitted on ``train``: the only place a hybrid's
+        fitted state is set."""
         self._observed = np.asarray(train.values, dtype=float)
-        self.model = hybrid_fit(train, self.base_kind, self.config, base=base)
+        self.base = base
+        self.base_skip = base_skip
+        self.residual_model = residual_model
         return self
 
     def fitted(self) -> np.ndarray:
-        return hybrid_fitted(self.model)
+        """Base fitted plus residual fitted, aligned on the original index;
+        NaN where either phase defines no value."""
+        out = np.full(len(self._observed), np.nan)
+        lags = self.residual_model.component_models[0].config.lags
+        start = self.base_skip + lags
+        out[start:] = (self.base.fitted()[start:]
+                       + self.residual_model.fitted_values[lags:])
+        return out
 
     def forecast(self, h: int) -> np.ndarray:
-        return hybrid_forecast(self.model, h)
+        """Base forecast plus residual forecast, elementwise."""
+        if h == 0:
+            return np.empty(0)
+        return self.base.forecast(h) + wbann_forecast(self.residual_model, h)
 
 
 def make_forecaster(tag: str, config: TdnnConfig | None = None) -> Forecaster:
@@ -271,16 +254,12 @@ def fit_panel(panel: HierarchicalPanel, tag: str,
 
     def assemble(index: int, problem: _HybridProblem,
                  trained: dict | None) -> HybridForecaster:
-        model = make_forecaster(tag, config)
         with _phase("residual (wbann)"):
             if trained is None:  # a piece diverged: train the stack whole
                 trained = wbann_train(problem.residual)
             residual_model = wbann_model(problem.residual, trained)
-        model._observed = np.asarray(series[index].values, dtype=float)
-        model.model = HybridModel(problem.base, residual_model,
-                                  model.base_kind, len(model._observed),
-                                  problem.base_skip)
-        return model
+        return make_forecaster(tag, config)._fitted_with(
+            series[index], problem.base, problem.base_skip, residual_model)
 
     results = map_units(lambda i: _fit_or_error(i, frame, i), len(series))
     hybrids = [i for i, r in enumerate(results)

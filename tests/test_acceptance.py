@@ -17,7 +17,7 @@ from epicast.cli import main
 from epicast.epi import GenerationInterval, r0_from_growth, sir_fit, sir_simulate
 from epicast.evaluate import ape, monitor, shelf_life_from_apes
 from epicast.forecasters import HoltParams, holt_filter, holt_fit, holt_forecast
-from epicast.hybrid import hybrid_fit, hybrid_fitted, hybrid_forecast
+from epicast.hybrid import HybridForecaster
 from epicast.neural import TdnnConfig, _init_weights, wbann_forecast
 from epicast.wavelet import choose_levels, imodwt_haar, modwt_haar
 
@@ -165,8 +165,8 @@ class TestCriterion5Hybrid:
         cfg = TdnnConfig(seed=42)
         worst_fit_gap = worst_fc_gap = 0.0
         for s in [india] + list(panel.states):
-            model = hybrid_fit(s, "holt", cfg)
-            fitted = hybrid_fitted(model)
+            model = HybridForecaster("holt-wbann", "holt", cfg).fit(s)
+            fitted = model.fitted()
             base_fitted = model.base.fitted()
             resid_fitted = model.residual_model.fitted_values
             mask = np.isfinite(fitted)
@@ -176,11 +176,11 @@ class TestCriterion5Hybrid:
             worst_fit_gap = max(
                 worst_fit_gap, float(np.max(np.abs(fitted[mask] - recomposed)))
             )
-            fc = hybrid_forecast(model, 7)
+            fc = model.forecast(7)
             parts = model.base.forecast(7) + wbann_forecast(model.residual_model, 7)
             worst_fc_gap = max(worst_fc_gap, float(np.max(np.abs(fc - parts))))
-        india_model = hybrid_fit(india, "holt", cfg)
-        fitted = hybrid_fitted(india_model)
+        india_model = HybridForecaster("holt-wbann", "holt", cfg).fit(india)
+        fitted = india_model.fitted()
         mask = np.isfinite(fitted)
         rmse_hybrid = float(np.sqrt(np.mean((india.values[mask] - fitted[mask]) ** 2)))
         base_fitted = india_model.base.fitted()

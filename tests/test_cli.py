@@ -385,6 +385,31 @@ class TestFailureModes:
                     "--out", out]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("earlier", [False, True])
+    @pytest.mark.parametrize("command, blocked, flags", [
+        ("forecast", "forecast.svg", ["--svg"]),
+        ("shelflife", "shelflife.txt", []),
+    ])
+    def test_failed_write_changes_no_output(self, tmp_path, capsys, command,
+                                            blocked, flags, earlier):
+        # one target is a directory, so the run cannot write it: no other
+        # output may appear or change, and no temporary file may be left
+        out = tmp_path / "out"
+        argv = [command, "--model", "holt", "--out", out, *flags]
+        if earlier:
+            path = write_series_csv(tmp_path, linear_series(40), "a.csv")
+            assert run(argv + ["--input", path]) == 0
+            (out / blocked).unlink()
+        (out / blocked).mkdir(parents=True)
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        path = write_series_csv(tmp_path, linear_series(40, slope=5.0), "b.csv")
+        assert run(argv + ["--input", path]) == 1
+        assert_one_error_line(capsys)
+        after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert after == before
+        assert sorted(p.name for p in out.iterdir()) == sorted([*before, blocked])
+        assert not any((out / blocked).iterdir())
+
     def test_bad_model_exits_nonzero_without_outputs(self, tmp_path):
         path = write_series_csv(tmp_path, linear_series(40))
         out = tmp_path / "out"

@@ -9,13 +9,11 @@ import pytest
 from epicast.core import (
     HierarchicalPanel,
     NegativeValueWarning,
-    SplitSpec,
     UnivariateSeries,
     parse_panel_csv,
     parse_series_csv,
-    split,
 )
-from epicast.errors import InsufficientDataError, ParseError, ValidationError
+from epicast.errors import ParseError, ValidationError
 
 from conftest import make_series
 
@@ -215,38 +213,3 @@ class TestCopies:
         with pytest.raises(AttributeError):
             q.defect = None
 
-
-class TestSplit:
-    def test_long_holdout_partition(self):
-        s = make_series(np.arange(272.0))
-        train, test = split(s, SplitSpec(train_len=122, test_len=150))
-        assert len(train) == 122 and len(test) == 150
-        assert train.dates[-1] + datetime.timedelta(days=1) == test.dates[0]
-        assert train.values[-1] == 121.0 and test.values[0] == 122.0
-
-    def test_empty_test_boundary(self):
-        s = make_series([1.0, 2.0, 3.0])
-        train, test = split(s, SplitSpec(train_len=3, test_len=0))
-        assert len(train) == 3 and len(test) == 0
-
-    def test_half_split_indexing(self):
-        # m = [272/2] = 136: the test window is observations 137..140
-        s = make_series(np.arange(1.0, 273.0))
-        train, test = split(s, SplitSpec(train_len=136, test_len=4))
-        assert list(test.values) == [137.0, 138.0, 139.0, 140.0]
-
-    def test_exceeding_length(self):
-        s = make_series([1.0, 2.0, 3.0])
-        with pytest.raises(InsufficientDataError):
-            split(s, SplitSpec(train_len=3, test_len=1))
-
-    def test_order_preserved(self, india):
-        train, test = split(india, SplitSpec(train_len=100, test_len=50))
-        rejoined = np.concatenate([train.values, test.values])
-        assert np.array_equal(rejoined, india.values[:150])
-
-    def test_spec_validation(self):
-        with pytest.raises(ValidationError):
-            SplitSpec(train_len=0, test_len=1)
-        with pytest.raises(ValidationError):
-            SplitSpec(train_len=1, test_len=-1)
