@@ -69,11 +69,8 @@ from .hybrid import (
 )
 from .neural import (
     TdnnConfig,
-    TdnnModel,
     WbannModel,
     make_lag_matrix,
-    tdnn_forecast,
-    tdnn_train,
     wbann_fit,
     wbann_forecast,
 )

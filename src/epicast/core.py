@@ -219,7 +219,10 @@ def _read_rows(path):
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     with fh:
-        return list(csv.reader(fh))
+        try:
+            return list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
 
 def _parse_date(text: str, line_no: int):
@@ -288,7 +291,8 @@ def parse_panel_csv(path) -> HierarchicalPanel:
     dated.sort(key=lambda pair: pair[0])
     _check_duplicates(dated, Path(path).stem)
     dates = [d for d, _ in dated]
-    columns = np.array([vals for _, vals in dated], dtype=float)
+    columns = np.array([vals for _, vals in dated], dtype=float).reshape(
+        len(dated), width - 1)  # a header alone gives empty columns
     series = [
         UnivariateSeries(header[j + 1], dates, columns[:, j])
         for j in range(width - 1)

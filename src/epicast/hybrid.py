@@ -116,7 +116,7 @@ class HybridForecaster(Forecaster):
         """Base fitted plus residual fitted, aligned on the original index;
         NaN where either phase defines no value."""
         out = np.full(len(self._observed), np.nan)
-        lags = self.residual_model.component_models[0].config.lags
+        lags = self.residual_model.config.lags
         start = self.base_skip + lags
         out[start:] = (self.base.fitted()[start:]
                        + self.residual_model.fitted_values[lags:])

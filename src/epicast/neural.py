@@ -1,10 +1,12 @@
-"""Autoregressive feedforward network (lagged inputs, one logistic hidden
-layer, linear output) and the wavelet-component ensemble built from it.
+"""The wavelet-component ensemble of autoregressive feedforward networks
+(lagged inputs, one logistic hidden layer, linear output): one network per
+multiresolution component of a residual series.
 
-Training is full-batch gradient descent on min-max scaled targets, repeated
-over ``repeats`` independently initialised restarts drawn from one seeded
-generator; the model predicts the average of the restarts. Multi-step
-forecasts are recursive: each prediction is appended to the lag window.
+Each network trains by full-batch gradient descent on min-max scaled
+targets, repeated over ``repeats`` independently initialised restarts
+drawn from one seeded generator; it predicts the average of the restarts.
+Multi-step forecasts are recursive: each prediction is appended to the lag
+window.
 
 The component networks of the wavelet ensemble share one architecture, so
 their training steps are evaluated as a stacked tensor, of all components
@@ -15,7 +17,7 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +43,8 @@ class TdnnConfig:
             raise ValidationError("lags, hidden and repeats must be >= 1")
         if self.epochs < 1 or self.learning_rate <= 0:
             raise ValidationError("epochs must be >= 1 and learning_rate > 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def make_lag_matrix(series, p: int):
@@ -164,99 +168,23 @@ def _scale_with(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-@dataclass
-class TdnnModel:
-    """Trained network ensemble with the target scaling used in training."""
-
-    input_scale: tuple[float, float]
-    weights: dict = field(repr=False)
-    config: TdnnConfig
-
-    def _scale(self, v) -> np.ndarray:
-        lo, hi = self.input_scale
-        return _scale_with(np.asarray(v, dtype=float), lo, hi)
-
-    def _unscale(self, z):
-        lo, hi = self.input_scale
-        z = np.asarray(z, dtype=float)
-        if hi == lo:
-            return np.full_like(z, lo)
-        return lo + z * (hi - lo)
-
-    def predict(self, inputs) -> np.ndarray:
-        """Ensemble-average one-step predictions for lag rows in original
-        units."""
-        x = np.atleast_2d(np.asarray(inputs, dtype=float))
-        if x.shape[1] != self.config.lags:
-            raise ValidationError(
-                f"expected {self.config.lags} lag columns, got {x.shape[1]}"
-            )
-        z = _forward(self.weights, self._scale(x)).mean(axis=0)
-        return self._unscale(z)
-
-
-def tdnn_train(series, config: TdnnConfig) -> TdnnModel:
-    """Train the restart ensemble on one series."""
-    x = np.asarray(series, dtype=float)
-    if len(x) <= config.lags + 2:
-        raise InsufficientDataError(
-            f"need more than lags + 2 = {config.lags + 2} points, got {len(x)}"
-        )
-    inputs, targets = make_lag_matrix(x, config.lags)
-    lo, hi = _minmax(targets)
-    scaled_in = _scale_with(inputs, lo, hi)
-    scaled_tg = _scale_with(targets, lo, hi)
-    rng = np.random.default_rng(config.seed)
-    weights = _init_weights(rng, config.repeats, config.lags, config.hidden)
-    stacked = {key: weights[key][None] for key in weights}
-    trained = _descend(stacked, scaled_in[None], scaled_tg[None], config)
-    weights = {key: trained[key][0] for key in trained}
-    return TdnnModel(input_scale=(lo, hi), weights=weights, config=config)
-
-
-def tdnn_fitted(model: TdnnModel, series) -> np.ndarray:
-    """In-sample one-step predictions aligned with the series; the first
-    ``lags`` positions are NaN."""
-    x = np.asarray(series, dtype=float)
-    inputs, _ = make_lag_matrix(x, model.config.lags)
-    out = np.full(len(x), np.nan)
-    out[model.config.lags :] = model.predict(inputs)
-    return out
-
-
-def tdnn_forecast(model: TdnnModel, history, h: int) -> np.ndarray:
-    """Recursive h-step forecast from the last ``lags`` observed values."""
-    hist = np.asarray(history, dtype=float)
-    p = model.config.lags
-    if hist.shape != (p,):
-        raise ValidationError(f"history must hold exactly {p} values")
-    check_horizon(h)
-    window = list(model._scale(hist))
-    scaled_out = np.empty(h)
-    for i in range(h):
-        x = np.asarray(window[-p:], dtype=float)[None, :]
-        scaled_out[i] = float(_forward(model.weights, x).mean())
-        window.append(scaled_out[i])
-    return np.asarray(model._unscale(scaled_out))
+def _unscale_with(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    if hi == lo:
+        return np.full_like(z, lo)
+    return lo + z * (hi - lo)
 
 
 @dataclass
 class WbannModel:
-    """One network per multiresolution component of a residual series."""
+    """One network per multiresolution component of a residual series: the
+    trained restarts of every component, stacked as in its problem."""
 
+    config: TdnnConfig
     levels: int
-    component_models: list = field(repr=False)
-    training_series_tail: list = field(repr=False)
-    mra: WaveletMra = field(repr=False)
+    scales: list = field(repr=False)  # (lo, hi) target range per component
+    weights: dict = field(repr=False)  # trained w1, b1, w2, b2 as (C, R, ...)
+    tails: np.ndarray = field(repr=False)  # (C, lags) last values
     fitted_values: np.ndarray = field(repr=False)
-    component_fitted: list = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.component_models) != self.levels + 1:
-            raise ValidationError(
-                f"expected {self.levels + 1} component models, "
-                f"got {len(self.component_models)}"
-            )
 
 
 @dataclass
@@ -340,30 +268,23 @@ def wbann_train(problem: WbannProblem, start: int = 0,
 
 def wbann_model(problem: WbannProblem, trained: dict) -> WbannModel:
     """The ensemble from every component's trained weights, stacked as in
-    the problem, with its in-sample fit."""
-    config = problem.config
-    components = problem.mra.components
-    models = []
-    tails = []
+    the problem, with its in-sample fit: the sum of the component fits,
+    NaN on the first ``lags`` positions."""
+    lags = problem.config.lags
     fitted_components = []
-    for k, component in enumerate(components):
-        weights = {key: trained[key][k] for key in trained}
-        model = TdnnModel(
-            input_scale=problem.scales[k],
-            weights=weights,
-            config=replace(config, seed=config.seed + k),
-        )
-        models.append(model)
-        tails.append(component[-config.lags :].copy())
-        fitted_components.append(tdnn_fitted(model, component))
-    fitted = np.sum(fitted_components, axis=0)
+    for k, (lo, hi) in enumerate(problem.scales):
+        weights = {key: w[k] for key, w in trained.items()}
+        z = _forward(weights, problem.inputs[k]).mean(axis=0)
+        fit = np.full(lags + len(z), np.nan)
+        fit[lags:] = _unscale_with(z, lo, hi)
+        fitted_components.append(fit)
     return WbannModel(
+        config=problem.config,
         levels=problem.mra.levels,
-        component_models=models,
-        training_series_tail=tails,
-        mra=problem.mra,
-        fitted_values=fitted,
-        component_fitted=fitted_components,
+        scales=problem.scales,
+        weights=trained,
+        tails=np.stack([c[-lags:] for c in problem.mra.components]),
+        fitted_values=np.sum(fitted_components, axis=0),
     )
 
 
@@ -377,13 +298,29 @@ def wbann_fit(residuals, config: TdnnConfig) -> WbannModel:
     return wbann_model(problem, wbann_train(problem))
 
 
+def _component_forecast(weights: dict, scale: tuple[float, float],
+                        tail: np.ndarray, h: int) -> np.ndarray:
+    """Recursive h-step forecast of one component's restarts, (R, ...)
+    weights, from its last ``lags`` values: each scaled prediction is
+    appended to the lag window."""
+    lo, hi = scale
+    p = len(tail)
+    window = list(_scale_with(tail, lo, hi))
+    scaled_out = np.empty(h)
+    for i in range(h):
+        x = np.asarray(window[-p:], dtype=float)[None, :]
+        scaled_out[i] = float(_forward(weights, x).mean())
+        window.append(scaled_out[i])
+    return _unscale_with(scaled_out, lo, hi)
+
+
 def wbann_forecast(model: WbannModel, h: int) -> np.ndarray:
     """Sum of the per-component recursive forecasts (the decomposition is
     additive, so component forecasts add back to a series forecast)."""
-    if h == 0:
-        return np.empty(0)
+    check_horizon(h)
     parts = [
-        tdnn_forecast(m, tail, h)
-        for m, tail in zip(model.component_models, model.training_series_tail)
+        _component_forecast({key: w[k] for key, w in model.weights.items()},
+                            scale, tail, h)
+        for k, (scale, tail) in enumerate(zip(model.scales, model.tails))
     ]
     return np.sum(parts, axis=0)

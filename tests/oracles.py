@@ -3,7 +3,8 @@ against. Nothing in ``src/epicast`` calls them."""
 
 import numpy as np
 
-from epicast.neural import _sigmoid
+from epicast.neural import _forward, _sigmoid
+from epicast.wavelet import choose_levels, modwt_haar
 
 
 def stacked_loss_and_grads(weights: dict, x: np.ndarray, y: np.ndarray):
@@ -37,6 +38,47 @@ def loss_and_grads(weights: dict, x: np.ndarray, y: np.ndarray):
     stacked = {key: weights[key][None] for key in weights}
     losses, grads = stacked_loss_and_grads(stacked, x[None], y[None])
     return losses[0], {key: grads[key][0] for key in grads}
+
+
+def wbann_reference(residuals, weights: dict, lags: int, h: int):
+    """In-sample fit and recursive h-step forecast of the wavelet ensemble
+    with trained ``weights`` stacked as (C, R, ...), one component at a
+    time: the arithmetic of ``neural.wbann_model`` and
+    ``neural.wbann_forecast``.
+
+    Each component is framed into lag rows, min-max scaled on its targets,
+    passed forward and averaged over restarts, then unscaled; the forecast
+    appends each scaled prediction to the lag window. Component results are
+    summed. Returns (fitted, forecast); the fit is NaN on the first
+    ``lags`` positions.
+    """
+    e = np.asarray(residuals, dtype=float)
+    components = modwt_haar(e, choose_levels(len(e))).components
+    fits, forecasts = [], []
+    for k, component in enumerate(components):
+        net = {key: w[k] for key, w in weights.items()}
+        rows = np.array([component[i : i + lags]
+                         for i in range(len(component) - lags)])
+        lo, hi = float(component[lags:].min()), float(component[lags:].max())
+
+        def scale(v):
+            return np.zeros_like(v) if hi == lo else (v - lo) / (hi - lo)
+
+        def unscale(z):
+            return np.full_like(z, lo) if hi == lo else lo + z * (hi - lo)
+
+        fit = np.full(len(component), np.nan)
+        fit[lags:] = unscale(_forward(net, scale(rows)).mean(axis=0))
+        fits.append(fit)
+
+        window = list(scale(component[-lags:]))
+        scaled = []
+        for _ in range(h):
+            x = np.array(window[-lags:])[None, :]
+            scaled.append(float(_forward(net, x).mean()))
+            window.append(scaled[-1])
+        forecasts.append(unscale(np.array(scaled)))
+    return np.sum(fits, axis=0), np.sum(forecasts, axis=0)
 
 
 def coefficient_energy(mra) -> float:

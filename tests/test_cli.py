@@ -1,15 +1,22 @@
+import contextlib
 import csv
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicast.cli import build_parser, cmd_adjust, main
-from epicast.core import fixture_path
+from epicast.core import NegativeValueWarning, fixture_path
 from epicast.errors import EpicastError
 
 from conftest import linear_series, make_series
@@ -427,6 +434,7 @@ class TestFailureModes:
         monkeypatch.setattr("epicast.evaluate.map_units", no_fits)
         monkeypatch.setattr("epicast.hybrid.map_units", no_fits)
         monkeypatch.setattr("epicast.cli.fit_tagged_models", no_fits)
+        monkeypatch.setattr("epicast.evaluate.fit_tagged_models", no_fits)
         fixture = {"adjust": "india_panel.csv"}.get(command,
                                                     "india_confirmed.csv")
         out = tmp_path / "out"
@@ -453,6 +461,8 @@ class TestFailureModes:
         ("adjust", "--weight-mode", "ewma:0", "decay must lie in (0, 1]"),
         ("adjust", "--weight-mode", "ewma:1.5", "decay must lie in (0, 1]"),
         ("forecast", "--horizon", "-1", "horizon must be nonnegative"),
+        *[(command, "--seed", "-1", "seed must be >= 0, got -1")
+          for command in ("forecast", "adjust", "shelflife", "monitor")],
     ])
     def test_out_of_range_flag_exits_before_any_fit(
             self, tmp_path, capsys, monkeypatch, command, flag, value,
@@ -460,6 +470,27 @@ class TestFailureModes:
         self.run_without_fits(monkeypatch, tmp_path, command,
                               f"{flag}={value}")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("payload", [
+        b"date,value\n2020-03-14,5\n\xe9\n",
+        b'date,value\n2020-03-14,"' + b"9" * 131_073 + b'"\n',
+    ], ids=["not-utf8", "over-field-limit"])
+    def test_unreadable_csv_exits_one(self, tmp_path, capsys, payload):
+        path = tmp_path / "series.csv"
+        path.write_bytes(payload)
+        out = tmp_path / "out"
+        assert run(["r0", "--input", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_header_only_panel_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_text("date,total,a,b\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["adjust", "--input", path, "--out", out]) == 1
+        assert_one_error_line(capsys)
+        assert not out.exists()
 
     def test_sigmoid_overflow_is_silent(self, tmp_path):
         # 300 lags drive some hidden units so far into saturation that
@@ -491,3 +522,28 @@ class TestFailureModes:
         out = tmp_path / "out"
         assert run(["forecast", "--input", path, "--model", "holt",
                     "--out", out]) == 0
+
+
+class TestArbitraryInput:
+    @settings(max_examples=50, deadline=None)
+    @given(payload=st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(lambda b: b"date,value\n" + b),
+        st.text(alphabet="0123456789-,.\n\"date,value", max_size=200)
+          .map(str.encode),
+    ))
+    def test_r0_exits_zero_or_one(self, payload):
+        # any file: exit 0 or 1, or argparse's 2, with at most one "error:"
+        # line; any other exception fails the test
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.csv"
+            path.write_bytes(payload)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore", NegativeValueWarning)
+                try:
+                    code = run(["r0", "--input", path, "--out", Path(tmp) / "out"])
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2)
+        assert err.getvalue().count("error:") <= 1, err.getvalue()

@@ -1,10 +1,14 @@
 import copy
 import datetime
 import pickle
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicast.core import (
     HierarchicalPanel,
@@ -144,6 +148,55 @@ class TestParsePanel:
         out = tmp_path / "india_panel.csv"
         panel.to_csv(out)
         assert parse_panel_csv(out) == panel
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+DAYS = st.dates(datetime.date(1900, 1, 1), datetime.date(9000, 1, 1))
+
+
+def quiet_series(name, start, values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeValueWarning)
+        dates = [start + datetime.timedelta(days=i) for i in range(len(values))]
+        return UnivariateSeries(name, dates, values)
+
+
+def written_and_parsed(obj, name, parse):
+    """``parse`` of the file that ``obj.to_csv`` wrote as ``name.csv``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.csv"
+        obj.to_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeValueWarning)
+            return parse(path)
+
+
+class TestCsvRoundTripFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(start=DAYS, values=st.lists(FINITE, max_size=30))
+    def test_series(self, start, values):
+        s = quiet_series("drawn", start, values)
+        assert written_and_parsed(s, "drawn", parse_series_csv) == s
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=DAYS,
+        names=st.lists(st.from_regex(r"[a-z_]{1,8}", fullmatch=True),
+                       min_size=2, max_size=4),
+        data=st.data(),
+    )
+    def test_panel(self, start, names, data):
+        n = data.draw(st.integers(0, 20))
+        series = [quiet_series(name, start,
+                               data.draw(st.lists(FINITE, min_size=n,
+                                                  max_size=n)))
+                  for name in names]
+        with warnings.catch_warnings():
+            # the defect national - sum(states) may overflow to inf
+            warnings.simplefilter("ignore", RuntimeWarning)
+            panel = HierarchicalPanel(series[0], series[1:])
+            parsed = written_and_parsed(panel, "panel", parse_panel_csv)
+        assert parsed == panel
 
 
 class TestSeriesInvariants:

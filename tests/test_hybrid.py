@@ -93,7 +93,7 @@ class TestHybridOutputs:
         base = SimpleNamespace(fitted=lambda: np.array([1.0, 2.0]))
         resid = SimpleNamespace(
             fitted_values=np.array([0.1, -0.1]),
-            component_models=[SimpleNamespace(config=SimpleNamespace(lags=0))],
+            config=SimpleNamespace(lags=0),
         )
         model = HybridForecaster("holt-wbann", "holt")._fitted_with(
             make_series([1.0, 2.0]), base=base, base_skip=0,

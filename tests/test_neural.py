@@ -4,24 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from epicast.errors import InsufficientDataError, TrainingError, ValidationError
 from epicast.neural import (
     TdnnConfig,
-    TdnnModel,
     WbannModel,
+    _component_forecast,
     _descend,
+    _forward,
     _init_weights,
+    _scale_with,
     _sigmoid,
     make_lag_matrix,
-    tdnn_fitted,
-    tdnn_forecast,
-    tdnn_train,
     wbann_fit,
     wbann_forecast,
+    wbann_model,
+    wbann_problem,
+    wbann_train,
 )
 
-from oracles import loss_and_grads, stacked_loss_and_grads
+from oracles import loss_and_grads, stacked_loss_and_grads, wbann_reference
 
 FAST = TdnnConfig(repeats=5, epochs=120, seed=9)
 
@@ -221,82 +224,130 @@ class TestDescendOracle:
                                 [0, 1, 2]) == want
 
 
+def component_weights(model: WbannModel, k: int) -> dict:
+    """Component ``k``'s restarts, as (R, ...) views of the stacked weights."""
+    return {key: w[k] for key, w in model.weights.items()}
+
+
+def component_forecasts(model: WbannModel, h: int) -> list:
+    return [
+        _component_forecast(component_weights(model, k), scale, tail, h)
+        for k, (scale, tail) in enumerate(zip(model.scales, model.tails))
+    ]
+
+
+def manual_forecast(model: WbannModel, h: int) -> np.ndarray:
+    """The recursive forecast unrolled by hand: each component's scaled
+    window through the forward pass, the average of its restarts appended,
+    then unscaled and summed over components."""
+    total = np.zeros(h)
+    p = model.config.lags
+    for k, ((lo, hi), tail) in enumerate(zip(model.scales, model.tails)):
+        window = list(_scale_with(tail, lo, hi))
+        for i in range(h):
+            x = np.asarray(window[-p:])[None, :]
+            z = _forward(component_weights(model, k), x).mean()
+            window.append(z)
+            total[i] += lo if hi == lo else lo + z * (hi - lo)
+    return total
+
+
 class TestTdnnTrain:
+    """Training of the component networks through ``wbann_fit``."""
+
     def test_zero_series_predicts_zero(self):
-        model = tdnn_train(np.zeros(30), FAST)
-        fitted = tdnn_fitted(model, np.zeros(30))
-        assert np.nanmax(np.abs(fitted)) < 1e-6
-        assert np.max(np.abs(tdnn_forecast(model, np.zeros(4), 5))) < 1e-6
+        model = wbann_fit(np.zeros(30), FAST)
+        assert np.nanmax(np.abs(model.fitted_values)) < 1e-6
+        assert np.max(np.abs(wbann_forecast(model, 5))) < 1e-6
 
     def test_same_seed_bit_identical(self):
         rng = np.random.default_rng(2)
         series = 50 + np.cumsum(rng.normal(0, 3, size=40))
-        a = tdnn_train(series, FAST)
-        b = tdnn_train(series, FAST)
+        a = wbann_fit(series, FAST)
+        b = wbann_fit(series, FAST)
         for key in a.weights:
-            assert np.array_equal(a.weights[key], b.weights[key])
+            assert a.weights[key].tobytes() == b.weights[key].tobytes()
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(2)
         series = 50 + np.cumsum(rng.normal(0, 3, size=40))
-        a = tdnn_train(series, FAST)
-        b = tdnn_train(series, TdnnConfig(repeats=5, epochs=120, seed=10))
-        assert not np.array_equal(a.weights["w1"], b.weights["w1"])
+        a = wbann_fit(series, FAST)
+        b = wbann_fit(series, TdnnConfig(repeats=5, epochs=120, seed=10))
+        for k in range(a.levels + 1):
+            assert not np.array_equal(a.weights["w1"][k], b.weights["w1"][k])
 
     def test_diverging_rate_reports_epoch_and_restart(self):
         rng = np.random.default_rng(4)
         series = 1e3 * rng.normal(size=60)
         bad = TdnnConfig(repeats=2, epochs=400, learning_rate=1e12, seed=1)
-        with pytest.raises(TrainingError, match=r"epoch \d+, restart \d+"):
-            tdnn_train(series, bad)
-
-    def test_too_short(self):
-        with pytest.raises(InsufficientDataError):
-            tdnn_train(np.arange(6.0), FAST)
+        with pytest.raises(TrainingError,
+                           match=r"epoch \d+, component \d+, restart \d+"):
+            wbann_fit(series, bad)
 
     def test_scaling_equivariance(self):
         rng = np.random.default_rng(9)
         base = 50 + np.cumsum(rng.normal(0, 3, size=60))
-        small = tdnn_train(base, FAST)
-        large = tdnn_train(1000.0 * base, FAST)
-        f_small = tdnn_forecast(small, base[-4:], 5)
-        f_large = tdnn_forecast(large, 1000.0 * base[-4:], 5)
+        f_small = wbann_forecast(wbann_fit(base, FAST), 5)
+        f_large = wbann_forecast(wbann_fit(1000.0 * base, FAST), 5)
         assert np.max(np.abs(f_large / f_small / 1000.0 - 1.0)) < 0.01
 
 
 class TestTdnnForecast:
+    """The recursive forecast of the component networks."""
+
     def test_constant_fixed_point(self):
-        model = tdnn_train(np.full(30, 5.0), FAST)
-        assert np.allclose(tdnn_forecast(model, np.full(4, 5.0), 6), 5.0, atol=0)
+        model = wbann_fit(np.full(30, 5.0), FAST)
+        assert np.allclose(wbann_forecast(model, 6), 5.0, atol=0)
 
     def test_one_step_equals_direct_prediction(self):
         rng = np.random.default_rng(3)
-        series = 20 + np.cumsum(rng.normal(0, 2, size=50))
-        model = tdnn_train(series, FAST)
-        direct = model.predict(series[-4:][None, :])[0]
-        assert tdnn_forecast(model, series[-4:], 1)[0] == pytest.approx(
-            direct, abs=1e-12
-        )
+        model = wbann_fit(20 + np.cumsum(rng.normal(0, 2, size=50)), FAST)
+        direct = 0.0
+        for k, ((lo, hi), tail) in enumerate(zip(model.scales, model.tails)):
+            x = _scale_with(tail, lo, hi)[None, :]
+            z = _forward(component_weights(model, k), x).mean(axis=0)[0]
+            direct += lo + z * (hi - lo)
+        assert wbann_forecast(model, 1)[0] == pytest.approx(direct, abs=1e-12)
 
     def test_three_steps_equal_manual_unrolling(self):
         rng = np.random.default_rng(3)
-        series = 20 + np.cumsum(rng.normal(0, 2, size=50))
-        model = tdnn_train(series, FAST)
-        window = list(series[-4:])
-        manual = []
-        for _ in range(3):
-            manual.append(model.predict(np.asarray(window[-4:])[None, :])[0])
-            window.append(manual[-1])
-        assert np.allclose(tdnn_forecast(model, series[-4:], 3), manual, atol=1e-9)
-
-    def test_history_length_checked(self):
-        model = tdnn_train(np.arange(30.0), FAST)
-        with pytest.raises(ValidationError):
-            tdnn_forecast(model, np.arange(3.0), 2)
+        model = wbann_fit(20 + np.cumsum(rng.normal(0, 2, size=50)), FAST)
+        assert np.allclose(wbann_forecast(model, 3), manual_forecast(model, 3),
+                           atol=1e-9)
 
     def test_empty_horizon(self):
-        model = tdnn_train(np.arange(30.0), FAST)
-        assert tdnn_forecast(model, np.arange(4.0), 0).size == 0
+        model = wbann_fit(np.arange(30.0), FAST)
+        assert wbann_forecast(model, 0).size == 0
+        assert _component_forecast(component_weights(model, 0),
+                                   model.scales[0], model.tails[0], 0).size == 0
+        with pytest.raises(ValidationError):
+            wbann_forecast(model, -1)
+
+
+class TestWbannOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        residuals=st.integers(16, 70).flatmap(lambda n: arrays(
+            float, n, elements=st.floats(-1e4, 1e4, allow_subnormal=False))),
+        lags=st.integers(1, 6),
+        hidden=st.integers(1, 4),
+        repeats=st.integers(1, 4),
+        epochs=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(0, 9),
+    )
+    def test_bit_identical_to_reference(self, residuals, lags, hidden,
+                                        repeats, epochs, seed, h):
+        config = TdnnConfig(lags=lags, hidden=hidden, repeats=repeats,
+                            epochs=epochs, seed=seed)
+        try:
+            model = wbann_fit(residuals, config)
+        except TrainingError:
+            event("diverged")
+            return
+        fitted, forecast = wbann_reference(residuals, model.weights, lags, h)
+        assert model.fitted_values.tobytes() == fitted.tobytes()
+        assert wbann_forecast(model, h).tobytes() == forecast.tobytes()
 
 
 class TestWbann:
@@ -316,49 +367,39 @@ class TestWbann:
     def test_component_count(self):
         rng = np.random.default_rng(6)
         model = wbann_fit(rng.normal(size=64), FAST)
-        assert len(model.component_models) == model.levels + 1
+        c = model.levels + 1
+        assert [w.shape[:2] for w in model.weights.values()] == [(c, 5)] * 4
+        assert len(model.scales) == c
+        assert model.tails.shape == (c, model.config.lags)
 
     def test_slow_sinusoid_dominated_by_smooth(self):
         t = np.arange(256)
         model = wbann_fit(10.0 * np.sin(2 * np.pi * t / 256.0), FAST)
-        parts = [
-            np.mean(np.abs(tdnn_forecast(m, tail, 10)))
-            for m, tail in zip(model.component_models, model.training_series_tail)
-        ]
+        parts = [np.mean(np.abs(f)) for f in component_forecasts(model, 10)]
         assert parts[-1] / sum(parts) >= 0.9
 
     def test_single_nonzero_component_additivity(self):
         # constant residuals: every detail is zero, only the smooth net acts
         model = wbann_fit(np.full(40, 3.0), FAST)
-        smooth_only = tdnn_forecast(
-            model.component_models[-1], model.training_series_tail[-1], 4
-        )
+        smooth_only = component_forecasts(model, 4)[-1]
         assert np.array_equal(wbann_forecast(model, 4), smooth_only)
 
     def test_two_component_toy_sum_by_hand(self):
         # hand-set weights: each net is logistic(hidden) -> linear(output);
         # with w1 = 0 the hidden activation is sigmoid(b1) regardless of input
         cfg = TdnnConfig(lags=2, hidden=1, repeats=1, epochs=1, seed=0)
-
-        def constant_net(b2):
-            return TdnnModel(
-                input_scale=(0.0, 1.0),
-                weights={
-                    "w1": np.zeros((1, 2, 1)),
-                    "b1": np.zeros((1, 1)),
-                    "w2": np.zeros((1, 1)),
-                    "b2": np.array([b2]),
-                },
-                config=cfg,
-            )
-
         model = WbannModel(
+            config=cfg,
             levels=1,
-            component_models=[constant_net(0.25), constant_net(-0.75)],
-            training_series_tail=[np.zeros(2), np.zeros(2)],
-            mra=None,
+            scales=[(0.0, 1.0), (0.0, 1.0)],
+            weights={
+                "w1": np.zeros((2, 1, 2, 1)),
+                "b1": np.zeros((2, 1, 1)),
+                "w2": np.zeros((2, 1, 1)),
+                "b2": np.array([[0.25], [-0.75]]),
+            },
+            tails=np.zeros((2, 2)),
             fitted_values=np.empty(0),
-            component_fitted=[],
         )
         # every step of each net predicts exactly its output bias
         assert np.allclose(wbann_forecast(model, 3), 0.25 - 0.75, atol=1e-15)
@@ -372,10 +413,14 @@ class TestWbann:
 
     def test_fitted_is_sum_of_component_fits(self):
         rng = np.random.default_rng(8)
-        model = wbann_fit(rng.normal(0, 4, size=50), FAST)
-        stacked = np.sum(model.component_fitted, axis=0)
-        lags = model.component_models[0].config.lags
-        assert np.array_equal(model.fitted_values[lags:], stacked[lags:])
+        problem = wbann_problem(rng.normal(0, 4, size=50), FAST)
+        model = wbann_model(problem, wbann_train(problem))
+        lags = model.config.lags
+        fits = []
+        for k, (lo, hi) in enumerate(model.scales):
+            z = _forward(component_weights(model, k), problem.inputs[k])
+            fits.append(lo + z.mean(axis=0) * (hi - lo))
+        assert np.array_equal(model.fitted_values[lags:], np.sum(fits, axis=0))
         assert np.all(np.isnan(model.fitted_values[:lags]))
 
     def test_too_short(self):
@@ -387,3 +432,5 @@ class TestWbann:
             TdnnConfig(lags=0)
         with pytest.raises(ValidationError):
             TdnnConfig(learning_rate=0.0)
+        with pytest.raises(ValidationError, match="seed"):
+            TdnnConfig(seed=-1)
