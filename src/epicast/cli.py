@@ -244,9 +244,7 @@ def cmd_adjust(args) -> list[Path]:
 def cmd_monitor(args) -> list[Path]:
     series = parse_series_csv(args.input)
     models = _split_tags(args.model)
-    report = monitor(
-        series, models, k=args.window, seed=args.seed, config=_tdnn_config(args)
-    )
+    report = monitor(series, models, k=args.window, config=_tdnn_config(args))
     metric_rows = [
         [r.origin, r.model, _fmt(r.rmse), _fmt(r.mae), _fmt(r.m)]
         for r in report.records
@@ -289,14 +287,8 @@ def cmd_monitor(args) -> list[Path]:
 def cmd_shelflife(args) -> list[Path]:
     series = parse_series_csv(args.input)
     train_len = args.train_len if args.train_len is not None else len(series) // 2
-    result = shelf_life(
-        series,
-        train_len,
-        model=args.model,
-        threshold_pct=args.threshold,
-        seed=args.seed,
-        config=_tdnn_config(args),
-    )
+    result = shelf_life(series, train_len, model=args.model,
+                        threshold_pct=args.threshold, config=_tdnn_config(args))
     ape_rows = [
         [t, _fmt(a), _fmt(line)]
         for (t, a), line in zip(result.ape_series, result.fitted_line)
@@ -457,7 +449,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (EpicastError, OSError) as exc:
+    except (EpicastError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

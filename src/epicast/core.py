@@ -152,6 +152,8 @@ class HierarchicalPanel:
 
     The per-date consistency defect ``national - sum(states)`` is computed
     and stored, never assumed zero: source feeds carry unattributed counts.
+    A date where the sum or the defect overflows the float range is a
+    :class:`ValidationError`.
     """
 
     __slots__ = ("national", "states", "defect")
@@ -165,7 +167,14 @@ class HierarchicalPanel:
                 raise ValidationError(
                     f"state {s.name!r} does not share the national date index"
                 )
-        defect = national.values - np.sum([s.values for s in states], axis=0)
+        with np.errstate(over="ignore"):
+            defect = national.values - np.sum([s.values for s in states], axis=0)
+        overflow = np.flatnonzero(~np.isfinite(defect))
+        if len(overflow):
+            raise ValidationError(
+                "state sum or national-minus-states defect overflows on "
+                f"{national.dates[overflow[0]].isoformat()}"
+            )
         defect.setflags(write=False)
         object.__setattr__(self, "national", national)
         object.__setattr__(self, "states", states)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import UnivariateSeries
 from .errors import InsufficientDataError, ValidationError
-from .forecasters import import_kernels
 from .hybrid import fit_tagged_models, make_forecaster
 from .neural import TdnnConfig
 from .parallel import map_units
@@ -47,13 +46,6 @@ def rmse(actual, predicted) -> float:
 def mae(actual, predicted) -> float:
     a, p = _paired(actual, predicted)
     return float(np.mean(np.abs(a - p)))
-
-
-def ape(actual: float, predicted: float) -> float:
-    """Absolute percent error of one prediction; undefined at actual == 0."""
-    if actual == 0:
-        raise ValidationError("absolute percent error undefined for actual == 0")
-    return abs(actual - predicted) / abs(actual) * 100.0
 
 
 @dataclass(frozen=True)
@@ -92,15 +84,15 @@ def _score_origin(
     origin: int,
     models: list,
     k: int,
-    seed: int,
     config: TdnnConfig,
 ) -> tuple[WindowMetricRecord, ...]:
-    """Refit the models on observations 1..origin-1 with seed ``seed +
-    origin`` and score their k-step forecasts against observations
+    """Refit the models on observations 1..origin-1 with seed ``config.seed
+    + origin`` and score their k-step forecasts against observations
     origin..origin+k-1, one record per entry of ``models``."""
     train = series.prefix(origin - 1)
     actual = series.values[origin - 1 : origin - 1 + k]
-    fitted = fit_tagged_models(train, models, replace(config, seed=seed + origin))
+    seeded = replace(config, seed=config.seed + origin)
+    fitted = fit_tagged_models(train, models, seeded)
     records = []
     for tag in models:
         forecast = fitted[tag].forecast(k)
@@ -119,14 +111,14 @@ def monitor(
     series: UnivariateSeries,
     models,
     k: int = 4,
-    seed: int = 42,
     config: TdnnConfig | None = None,
 ) -> MonitorReport:
     """Score every model over all rolling origins.
 
     Origins run T = [t/2]+1 .. t-k+1 (1-indexed); each refits the models on
-    observations 1..T-1 with a per-origin seed ``seed + T`` and scores the
-    k-step forecast against observations T..T+k-1. Ties in the per-origin
+    observations 1..T-1 with a per-origin seed ``config.seed + T`` and
+    scores the k-step forecast against observations T..T+k-1. ``config``
+    defaults to ``TdnnConfig()``, whose seed is 42. Ties in the per-origin
     argmin go to the earlier model in ``models``. The origins are
     independent, so they run on :func:`epicast.parallel.map_units`. Every
     tag is checked before the first fit, and a tag given twice is an error.
@@ -144,12 +136,11 @@ def monitor(
         raise InsufficientDataError(
             f"monitoring needs at least 2k + 4 = {2 * k + 4} observations, got {t}"
         )
-    config = config or TdnnConfig(seed=seed)
+    config = config or TdnnConfig()
     half = t // 2
     origins = tuple(range(half + 1, t - k + 2))
-    import_kernels(models)
     scored = map_units(
-        lambda i: _score_origin(series, origins[i], models, k, seed, config),
+        lambda i: _score_origin(series, origins[i], models, k, config),
         len(origins),
     )
     records = []
@@ -195,14 +186,6 @@ class ShelfLifeResult:
     train_len: int
     ape_series: tuple  # (t, ape) pairs, t 1-indexed
     fitted_line: tuple
-
-    @property
-    def t_values(self) -> np.ndarray:
-        return np.asarray([t for t, _ in self.ape_series], dtype=float)
-
-    @property
-    def ape_values(self) -> np.ndarray:
-        return np.asarray([a for _, a in self.ape_series], dtype=float)
 
 
 def _check_threshold(threshold_pct: float) -> None:
@@ -252,17 +235,17 @@ def shelf_life(
     train_len: int,
     model: str = "holt-wbann",
     threshold_pct: float = 5.0,
-    seed: int = 42,
     config: TdnnConfig | None = None,
 ) -> ShelfLifeResult:
     """Train on the first ``train_len`` points, score APE over the rest, and
-    report where the APE trend line crosses ``threshold_pct``."""
+    report where the APE trend line crosses ``threshold_pct``. A hybrid
+    ``model`` trains with ``config`` (default ``TdnnConfig()``), seed
+    included."""
     _check_threshold(threshold_pct)  # before the fit, which may take seconds
     t = len(series)
     if not 0 < train_len < t:
         raise ValidationError(f"train_len must lie in (0, {t})")
     horizon = t - train_len
-    config = config or TdnnConfig(seed=seed)
     (fitted,) = fit_tagged_models(series.prefix(train_len), [model], config).values()
     forecast = fitted.forecast(horizon)
     actual = series.values[train_len:]

@@ -28,12 +28,16 @@ PARAM_GRID = np.arange(1, 101) / 100.0  # 0.01 .. 1.00
 MAX_ARMA_ORDER = 5
 MAX_DIFF = 2
 SELECTION_BUDGET = 30  # Nelder-Mead evaluations per parameter while ranking orders
+MAX_HORIZON = 100_000  # days: centuries past any use
 
 
 def check_horizon(h: int) -> None:
-    """Raise :class:`ValidationError` for a negative forecast horizon."""
+    """Raise :class:`ValidationError` for a forecast horizon outside
+    0..``MAX_HORIZON``."""
     if h < 0:
         raise ValidationError("horizon must be nonnegative")
+    if h > MAX_HORIZON:
+        raise ValidationError(f"horizon must be at most {MAX_HORIZON}, got {h}")
 
 
 class Forecaster(abc.ABC):
@@ -215,22 +219,10 @@ _FILTER_NUMERATOR = np.ones(1)
 def _linear_filter():
     """scipy's linear-filter kernel, imported on first use: importing
     ``scipy.signal`` takes about a second, and only ARIMA fits with an MA
-    part need it."""
+    part need it. :class:`ArimaForecaster` loads it when built."""
     from scipy.signal import _sigtools
 
     return _sigtools._linear_filter
-
-
-def import_kernels(tags) -> None:
-    """Import now the kernel that fitting a tag among ``tags`` (the ``tag``
-    of built models) loads on first use. Workers forked after this share
-    its pages instead of each importing ``scipy.signal`` again. Only a fit
-    with an MA part uses it: the order searches of ``arima`` and
-    ``arima-wbf``, and a fixed ``arima(p,d,q)`` with q > 0."""
-    if any(tag in ("arima", "arima-wbf")
-           or (tag.startswith("arima(") and not tag.endswith(",0)"))
-           for tag in tags):
-        _linear_filter()
 
 
 def _ma_filter(a: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -517,6 +509,8 @@ class ArimaForecaster(Forecaster):
             check_order(order)
             self.tag = "arima({},{},{})".format(*order)
         self.order = order
+        if order is None or order[2] > 0:
+            _linear_filter()  # a fit that can filter: load before any fork
 
     def fit(self, train: UnivariateSeries) -> "ArimaForecaster":
         self._observed = np.asarray(train.values, dtype=float)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import HierarchicalPanel, UnivariateSeries
 from .errors import EpicastError, InsufficientDataError, TrainingError, ValidationError
-from .forecasters import ArimaForecaster, Forecaster, HoltForecaster, import_kernels
+from .forecasters import ArimaForecaster, Forecaster, HoltForecaster
 from .neural import (
     TdnnConfig,
     WbannModel,
@@ -47,10 +47,11 @@ class _HybridProblem:
 
 @contextmanager
 def _phase(name: str):
-    """Prefix the message of any error raised in the block with the phase."""
+    """Prefix the message of any epicast error raised in the block with the
+    phase; other errors, whose types may take other arguments, pass."""
     try:
         yield
-    except Exception as exc:
+    except EpicastError as exc:
         raise type(exc)(f"{name} phase: {exc}") from exc
 
 
@@ -89,6 +90,9 @@ class HybridForecaster(Forecaster):
     has no fitted value) and ``residual_model``."""
 
     def __init__(self, tag: str, base_kind: str, config: TdnnConfig | None = None):
+        with _phase(f"base ({base_kind})"):
+            # a bad base fails here, and an ARIMA base loads its kernel now
+            make_forecaster(base_kind)
         self.tag = tag
         self.base_kind = base_kind
         self.config = config or TdnnConfig()
@@ -242,7 +246,6 @@ def fit_panel(panel: HierarchicalPanel, tag: str,
     """
     tag = make_forecaster(tag).tag  # a bad tag fails here, before any fit
     series = [panel.national, *panel.states]
-    import_kernels([tag])
 
     def frame(index: int):
         model = make_forecaster(tag, config)

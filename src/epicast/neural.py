@@ -26,6 +26,11 @@ from .forecasters import check_horizon
 from .wavelet import WaveletMra, choose_levels, modwt_haar
 
 
+# hidden units or restarts: far past any use, and low enough that no weight
+# array's size overflows an index
+MAX_WIDTH = 10_000
+
+
 @dataclass(frozen=True)
 class TdnnConfig:
     """Network hyperparameters; defaults follow common practice for
@@ -41,6 +46,9 @@ class TdnnConfig:
     def __post_init__(self):
         if self.lags < 1 or self.hidden < 1 or self.repeats < 1:
             raise ValidationError("lags, hidden and repeats must be >= 1")
+        if max(self.hidden, self.repeats) > MAX_WIDTH:
+            raise ValidationError(
+                f"hidden and repeats must be at most {MAX_WIDTH}")
         if self.epochs < 1 or self.learning_rate <= 0:
             raise ValidationError("epochs must be >= 1 and learning_rate > 0")
         if self.seed < 0:

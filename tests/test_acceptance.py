@@ -15,7 +15,7 @@ import pytest
 from epicast.adjust import AdjustmentInput, adjust_forecasts, compute_weights
 from epicast.cli import main
 from epicast.epi import GenerationInterval, r0_from_growth, sir_fit, sir_simulate
-from epicast.evaluate import ape, monitor, shelf_life_from_apes
+from epicast.evaluate import monitor, shelf_life, shelf_life_from_apes
 from epicast.forecasters import HoltParams, holt_filter, holt_fit, holt_forecast
 from epicast.hybrid import HybridForecaster
 from epicast.neural import TdnnConfig, _init_weights, wbann_forecast
@@ -243,7 +243,8 @@ class TestCriterion7Monitor:
     def test_linear_dominance_and_origins(self):
         s = linear_series(40)
         k = 4
-        report_obj = monitor(s, ["holt", "arima(0,1,0)"], k=k, seed=1)
+        report_obj = monitor(s, ["holt", "arima(0,1,0)"], k=k,
+                             config=TdnnConfig(seed=1))
         t = len(s)
         origin_ok = len(report_obj.origins) == (t - k + 1) - t // 2
         dominance_ok = report_obj.dominance["holt"] == 100.0
@@ -269,13 +270,16 @@ class TestCriterion8ShelfLife:
         t_values = np.arange(m + 1, m + 41)
         apes = 0.2 * (t_values - m)
         result = shelf_life_from_apes(t_values, apes, train_len=m)
-        ape_ok = ape(100.0, 95.0) == 5.0
-        ok = abs(result.shelf_days - 25.0) <= 0.01 and ape_ok
+        # holt continues the line 4.75 t exactly: 95 at t = 20, against 100
+        values = np.concatenate([4.75 * np.arange(1, 20), [100.0, 104.0, 110.0]])
+        first = shelf_life(make_series(values), train_len=19,
+                           model="holt").ape_series[0]
+        ok = abs(result.shelf_days - 25.0) <= 0.01 and first == (20, 5.0)
         report(
             8,
             ok,
             f"crossing at {result.shelf_days:.4f} days, APE(100,95) == "
-            f"{ape(100.0, 95.0)}",
+            f"{first[1]}",
         )
 
 

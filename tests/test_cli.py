@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import os
 import re
@@ -12,11 +13,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from epicast.cli import build_parser, cmd_adjust, main
-from epicast.core import NegativeValueWarning, fixture_path
+from epicast.core import (
+    HierarchicalPanel,
+    NegativeValueWarning,
+    fixture_path,
+    load_india_panel,
+    load_india_series,
+)
 from epicast.errors import EpicastError
 
 from conftest import linear_series, make_series
@@ -461,6 +468,12 @@ class TestFailureModes:
         ("adjust", "--weight-mode", "ewma:0", "decay must lie in (0, 1]"),
         ("adjust", "--weight-mode", "ewma:1.5", "decay must lie in (0, 1]"),
         ("forecast", "--horizon", "-1", "horizon must be nonnegative"),
+        ("forecast", "--horizon", "100001",
+         "horizon must be at most 100000, got 100001"),
+        ("forecast", "--hidden", "10001",
+         "hidden and repeats must be at most 10000"),
+        ("monitor", "--repeats", "10001",
+         "hidden and repeats must be at most 10000"),
         *[(command, "--seed", "-1", "seed must be >= 0, got -1")
           for command in ("forecast", "adjust", "shelflife", "monitor")],
     ])
@@ -470,6 +483,18 @@ class TestFailureModes:
         self.run_without_fits(monkeypatch, tmp_path, command,
                               f"{flag}={value}")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch):
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+        monkeypatch.setattr("epicast.cli.fit_tagged_models", too_big)
+        out = tmp_path / "out"
+        assert run(["forecast", "--input", fixture_path("india_confirmed.csv"),
+                    "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: Unable to allocate 7.11 PiB for an array\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("payload", [
         b"date,value\n2020-03-14,5\n\xe9\n",
@@ -492,19 +517,37 @@ class TestFailureModes:
         assert_one_error_line(capsys)
         assert not out.exists()
 
-    def test_sigmoid_overflow_is_silent(self, tmp_path):
-        # 300 lags drive some hidden units so far into saturation that
-        # exp(-a) overflows to inf, where the sigmoid is 0. A fresh process,
-        # because the test runner records warnings instead of printing them.
+    @staticmethod
+    def run_in_fresh_process(*argv):
+        """The CLI run in a fresh process, because the test runner records
+        warnings instead of printing them."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        done = subprocess.run(
-            [sys.executable, "-m", "epicast.cli", "adjust",
-             "--input", str(fixture_path("india_panel.csv")), "--lags", "300",
-             "--epochs", "2", "--repeats", "1", "--out", str(tmp_path)],
+        return subprocess.run(
+            [sys.executable, "-m", "epicast.cli", *map(str, argv)],
             env=env, capture_output=True, text=True, timeout=120)
+
+    def test_sigmoid_overflow_is_silent(self, tmp_path):
+        # 300 lags drive some hidden units so far into saturation that
+        # exp(-a) overflows to inf, where the sigmoid is 0
+        done = self.run_in_fresh_process(
+            "adjust", "--input", fixture_path("india_panel.csv"),
+            "--lags", 300, "--epochs", 2, "--repeats", 1, "--out", tmp_path)
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
+
+    def test_overflowing_panel_exits_one_silently(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text("date,total,a,b\n2020-01-01,1e308,1e308,1e308\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        done = self.run_in_fresh_process("adjust", "--model", "holt",
+                                         "--input", path, "--out", out)
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: state sum or national-minus-states defect overflows on "
+            "2020-01-01\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("model, lags", [("holt-wbann", 302),
                                              ("arima-wbf", 300)])
@@ -524,7 +567,92 @@ class TestFailureModes:
                     "--out", out]) == 0
 
 
+@functools.cache
+def short_input(command):
+    """The first 44 days of the command's fixture: the fewest on which every
+    origin of monitor fits a hybrid."""
+    if command == "adjust":
+        full = load_india_panel()
+        return HierarchicalPanel(full.national.prefix(44),
+                                 [s.prefix(44) for s in full.states])
+    return load_india_series().prefix(44)
+
+
+# numbers of every size and sign; huge is 10**15 or more, which no machine
+# allocates, so even an unchecked size fails at once instead of filling memory
+INTEGERS = st.sampled_from(["0", "-1", "1", "2", "3", "7", str(10**15),
+                            str(-10**15), str(10**30)])
+NUMBERS = st.one_of(INTEGERS, st.sampled_from(["0.5", "1e308", "nan", "inf",
+                                               "-inf"]))
+MALFORMED = st.text(alphabet="0123456789-+.:,()einfaholtwbrx ", max_size=12)
+
+
+def or_malformed(values):
+    """``values``, or one time in four malformed text."""
+    return st.integers(0, 3).flatmap(lambda i: values if i else MALFORMED)
+
+
+TAGS = st.sampled_from(["holt", "holt-wbann", "arima(1,1,1)", "arima(0,1,0)",
+                        "HOLT,holt", "arima(9,1,0)", "arima(1,1)", ""])
+WEIGHT_MODES = st.sampled_from(["last", "window:3", "ewma:0.5", "window:0",
+                                "ewma:nan", "window:" + str(10**30)])
+# every command's flags but --input and --out, each with the values to draw
+# from; --epochs and --repeats stay small, to keep each run short
+MODEL_FLAGS = ("--model", "--seed", "--lags", "--hidden", "--repeats",
+               "--epochs")
+COMMAND_FLAGS = {
+    "forecast": (*MODEL_FLAGS, "--horizon"),
+    "adjust": (*MODEL_FLAGS, "--weight-mode"),
+    "monitor": (*MODEL_FLAGS, "--window"),
+    "shelflife": (*MODEL_FLAGS, "--train-len", "--threshold"),
+    "r0": ("--seed", "--population", "--gi-mean", "--gi-shape",
+           "--growth-window"),
+}
+FLAG_VALUES = {
+    "--model": TAGS,
+    "--weight-mode": WEIGHT_MODES,
+    "--growth-window": st.tuples(INTEGERS, INTEGERS).map(":".join),
+    **dict.fromkeys(("--seed", "--lags", "--hidden", "--horizon", "--window",
+                     "--train-len"), INTEGERS),
+    **dict.fromkeys(("--repeats", "--epochs"),
+                    st.sampled_from(["-1", "0", "1", "3"])),
+}
+
+
 class TestArbitraryInput:
+    @settings(max_examples=200, deadline=None)
+    @given(command=st.sampled_from(sorted(COMMAND_FLAGS)), data=st.data())
+    def test_any_flags_exit_zero_one_or_two(self, command, data):
+        # every command, with any subset of its flags set to numbers of any
+        # size or sign, non-finite values or malformed text: exit 0 or 1, or
+        # argparse's 2, with at most one "error:" line; any other exception
+        # fails the test
+        flags = data.draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]),
+                                   unique=True, max_size=3))
+        # short defaults in place of 500 epochs; a drawn value comes later,
+        # and argparse keeps the last
+        argv = [] if command == "r0" else ["--epochs=2", "--repeats=1"]
+        argv += [f"{flag}="
+                 + data.draw(or_malformed(FLAG_VALUES.get(flag, NUMBERS)),
+                             label=flag)
+                 for flag in flags]
+        if command in ("forecast", "monitor") and data.draw(st.booleans()):
+            argv.append("--svg")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.csv"
+            short_input(command).to_csv(path)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = run([command, "--input", path, *argv,
+                                "--out", Path(tmp) / "out"])
+                except SystemExit as exc:
+                    code = exc.code
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2), err.getvalue()
+        assert err.getvalue().count("error:") <= 1, err.getvalue()
+
     @settings(max_examples=50, deadline=None)
     @given(payload=st.one_of(
         st.binary(max_size=200),

@@ -191,12 +191,17 @@ class TestCsvRoundTripFuzz:
                                data.draw(st.lists(FINITE, min_size=n,
                                                   max_size=n)))
                   for name in names]
-        with warnings.catch_warnings():
-            # the defect national - sum(states) may overflow to inf
-            warnings.simplefilter("ignore", RuntimeWarning)
-            panel = HierarchicalPanel(series[0], series[1:])
-            parsed = written_and_parsed(panel, "panel", parse_panel_csv)
-        assert parsed == panel
+        with np.errstate(over="ignore"):
+            defect = series[0].values - np.sum([s.values for s in series[1:]],
+                                               axis=0)
+        overflow = np.flatnonzero(~np.isfinite(defect))
+        if len(overflow):
+            day = series[0].dates[overflow[0]].isoformat()
+            with pytest.raises(ValidationError, match=f"overflows on {day}"):
+                HierarchicalPanel(series[0], series[1:])
+            return
+        panel = HierarchicalPanel(series[0], series[1:])
+        assert written_and_parsed(panel, "panel", parse_panel_csv) == panel
 
 
 class TestSeriesInvariants:

@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from epicast.errors import InsufficientDataError, ValidationError
 from epicast.evaluate import (
-    ape,
     mae,
     monitor,
     rmse,
@@ -13,11 +13,13 @@ from epicast.evaluate import (
     shelf_life_from_apes,
 )
 from epicast.forecasters import holt_fit, holt_forecast
+from epicast.hybrid import make_forecaster
 from epicast.neural import TdnnConfig
 
 from conftest import linear_series, make_series
 
 FAST = TdnnConfig(repeats=3, epochs=60, seed=5)
+SEED_1 = TdnnConfig(seed=1)
 
 
 class TestMetrics:
@@ -42,16 +44,11 @@ class TestMetrics:
         with pytest.raises(ValidationError):
             mae([], [])
 
-    def test_ape(self):
-        assert ape(100.0, 95.0) == pytest.approx(5.0, abs=1e-12)
-        with pytest.raises(ValidationError):
-            ape(0.0, 1.0)
-
 
 class TestMonitor:
     def test_single_model_dominates_fully(self):
         s = linear_series(40)
-        report = monitor(s, ["holt"], k=4, seed=1)
+        report = monitor(s, ["holt"], k=4, config=SEED_1)
         assert report.dominance == {"holt": 100.0}
         assert report.mode_winner == "holt"
 
@@ -59,14 +56,14 @@ class TestMonitor:
         # both models forecast a constant series with exactly zero error,
         # so every origin is an exact tie and input order decides
         s = make_series(np.full(40, 25.0))
-        first = monitor(s, ["arima(0,1,0)", "arima(1,1,0)"], k=4, seed=1)
+        first = monitor(s, ["arima(0,1,0)", "arima(1,1,0)"], k=4, config=SEED_1)
         assert first.dominance == {"arima(0,1,0)": 100.0, "arima(1,1,0)": 0.0}
-        flipped = monitor(s, ["arima(1,1,0)", "arima(0,1,0)"], k=4, seed=1)
+        flipped = monitor(s, ["arima(1,1,0)", "arima(0,1,0)"], k=4, config=SEED_1)
         assert flipped.dominance == {"arima(1,1,0)": 100.0, "arima(0,1,0)": 0.0}
 
     def test_linear_series_holt_beats_random_walk(self):
         s = linear_series(40)
-        report = monitor(s, ["holt", "arima(0,1,0)"], k=4, seed=1)
+        report = monitor(s, ["holt", "arima(0,1,0)"], k=4, config=SEED_1)
         assert report.dominance["holt"] == 100.0
         assert report.dominance["arima(0,1,0)"] == 0.0
         assert all(tag == "holt" for tag in report.psi.values())
@@ -76,7 +73,7 @@ class TestMonitor:
     def test_origin_count_and_window(self):
         s = linear_series(41)
         k = 5
-        report = monitor(s, ["holt"], k=k, seed=1)
+        report = monitor(s, ["holt"], k=k, config=SEED_1)
         t = len(s)
         assert len(report.origins) == (t - k + 1) - t // 2
         assert report.origins[0] == t // 2 + 1
@@ -87,7 +84,7 @@ class TestMonitor:
         s = make_series(
             50 + np.cumsum(np.random.default_rng(3).normal(1.0, 4.0, size=36))
         )
-        report = monitor(s, ["holt"], k=4, seed=1)
+        report = monitor(s, ["holt"], k=4, config=SEED_1)
         origin = report.origins[0]
         params, state = holt_fit(s.prefix(origin - 1))
         forecast = holt_forecast(state, 4)
@@ -100,7 +97,7 @@ class TestMonitor:
         s = make_series(
             50 + np.cumsum(np.random.default_rng(4).normal(1.0, 4.0, size=36))
         )
-        report = monitor(s, ["holt", "arima(0,1,0)"], k=4, seed=1)
+        report = monitor(s, ["holt", "arima(0,1,0)"], k=4, config=SEED_1)
         for record in report.records:
             assert record.m == (record.rmse + record.mae) / 2.0
             assert record.mae <= record.rmse + 1e-12
@@ -110,9 +107,24 @@ class TestMonitor:
         s = make_series(
             50 + np.cumsum(np.random.default_rng(5).normal(1.0, 4.0, size=36))
         )
-        report = monitor(s, ["holt", "arima(0,1,0)", "arima(0,0,0)"], k=4, seed=1)
+        report = monitor(s, ["holt", "arima(0,1,0)", "arima(0,0,0)"], k=4,
+                         config=SEED_1)
         assert sum(report.dominance.values()) == pytest.approx(100.0, abs=1e-9)
         assert sum(report.weighted_share.values()) == pytest.approx(100.0, abs=1e-9)
+
+    def test_config_seed_alone_drives_the_fits(self, india):
+        s = india.prefix(44)
+        first, second = (monitor(s, ["holt-wbann"], k=4,
+                                 config=replace(FAST, seed=seed))
+                         for seed in (5, 6))
+        assert first.records != second.records
+        # origin T refits with seed config.seed + T
+        origin = first.origins[0]
+        model = make_forecaster("holt-wbann", replace(FAST, seed=5 + origin))
+        forecast = model.fit(s.prefix(origin - 1)).forecast(4)
+        actual = s.values[origin - 1 : origin + 3]
+        assert first.records[0].rmse == rmse(actual, forecast)
+        assert first.records[0].mae == mae(actual, forecast)
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
@@ -195,3 +207,12 @@ class TestShelfLife:
         result = shelf_life(sub, train_len=40, model="holt-wbann", config=FAST)
         assert len(result.ape_series) == 40
         assert math.isfinite(result.slope)
+
+    def test_config_seed_alone_drives_the_fit(self, india):
+        sub = india.prefix(60)
+        first, again, second = (
+            shelf_life(sub, train_len=40, model="holt-wbann",
+                       config=replace(FAST, seed=seed))
+            for seed in (5, 5, 6))
+        assert first == again
+        assert first.ape_series != second.ape_series

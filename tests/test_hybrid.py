@@ -65,9 +65,15 @@ class TestHybridFit:
             HybridForecaster("holt-wbann", "holt", FAST).fit(linear_series(15))
 
     def test_base_phase_error_tagged(self):
-        with pytest.raises(ValidationError, match="base"):
-            HybridForecaster("nonsense-wbann", "nonsense", FAST).fit(
-                linear_series(30))
+        # an unknown base fails when the hybrid is built, before any fit
+        with pytest.raises(ValidationError,
+                           match=r"^base \(nonsense\) phase: unknown model tag"):
+            HybridForecaster("nonsense-wbann", "nonsense", FAST)
+
+    def test_each_fit_fits_its_own_base(self):
+        model = HybridForecaster("holt-wbann", "holt", FAST)
+        first = model.fit(linear_series(30)).base
+        assert model.fit(linear_series(30)).base is not first
 
     def test_residual_phase_error_tagged(self):
         # a deep fixed-order base leaves fewer residuals than wbann needs

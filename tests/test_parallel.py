@@ -85,7 +85,8 @@ class TestMapUnits:
 def _monitor_records(days):
     """Monitor records of holt on the first ``days`` fixture days."""
     series = load_india_series().prefix(days)
-    return evaluate.monitor(series, ["holt"], k=4, seed=3).records
+    return evaluate.monitor(series, ["holt"], k=4,
+                            config=TdnnConfig(seed=3)).records
 
 
 class TestInProcessWhereForkIsUnsafe:
@@ -366,18 +367,21 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_arima_kernel_imported_before_the_fork():
-    # so that the workers share scipy.signal rather than each importing it
+    # so that the workers share scipy.signal rather than each importing it;
+    # one fresh interpreter per tag, since an import cannot be undone
     code = """if True:
         import sys
         from epicast import evaluate, parallel
         from epicast.core import load_india_series
+        from epicast.neural import TdnnConfig
         parallel.usable_cpus = lambda: 2
-        series = load_india_series().prefix(40)
-        for tag in ("holt", "arima(1,1,0)", "arima"):
-            evaluate.monitor(series, [tag], k=4)
-            print(tag, "scipy.signal" in sys.modules)
+        series = load_india_series().prefix(60)
+        evaluate.monitor(series, [{!r}], k=4,
+                         config=TdnnConfig(repeats=2, epochs=10))
+        print("scipy.signal" in sys.modules)
     """
+    loaded = {tag: python_output(code.format(tag)).strip()
+              for tag in ("holt", "arima(1,1,0)", "arima", "arima-wbf")}
     # a fixed order without an MA part never filters, so it leaves scipy out
-    assert python_output(code) == (
-        "holt False\narima(1,1,0) False\narima True\n"
-    )
+    assert loaded == {"holt": "False", "arima(1,1,0)": "False",
+                      "arima": "True", "arima-wbf": "True"}
