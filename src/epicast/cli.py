@@ -443,8 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("EPICAST_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # a level name maps to its number, any other name to "Level <name>"
+    level = logging.getLevelName(os.environ.get("EPICAST_LOG", "").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else "WARNING")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

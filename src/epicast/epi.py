@@ -28,6 +28,7 @@ SIR_BOUNDS = {
     "gamma": (1.0 / 60.0, 2.0),
     "i0": (1e-10, 0.05),
 }
+SIR_FIT_STEP = 0.25  # days per RK4 substep while fitting
 
 
 @dataclass(frozen=True)
@@ -235,9 +236,7 @@ def sir_simulate(
     return SirTrajectory(s=s, i=i, r=(s0 + i0 + recovered0) - s - i)
 
 
-def sir_fit(
-    series: UnivariateSeries, population: float, step: float = 0.25
-) -> SirFit:
+def sir_fit(series: UnivariateSeries, population: float) -> SirFit:
     """Fit (beta, gamma, i0) to cumulative incidence fractions by bounded
     direct search; s0 is 1 - i0 and the model curve is 1 - S(t)."""
     if not math.isfinite(population):
@@ -257,7 +256,8 @@ def sir_fit(
 
     def trajectory_sse(x: np.ndarray) -> float:
         beta, gamma, i0 = np.clip(x, lo, hi)
-        traj = sir_simulate(beta, gamma, 1.0 - i0, i0, days, step=step)
+        traj = sir_simulate(beta, gamma, 1.0 - i0, i0, days,
+                            step=SIR_FIT_STEP)
         model = 1.0 - traj.s[1:]
         err = model - observed
         return float(err @ err)

@@ -118,26 +118,32 @@ def _holt_grid_sse(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     level = np.full(a.shape, y[0])
     trend = np.full(a.shape, y[1] - y[0])
     sse = np.zeros(a.shape)
+    one_minus_a, one_minus_b = 1 - a, 1 - b
     for t in range(1, len(y)):
         pred = level + trend
         err = y[t] - pred
         sse += err * err
-        new_level = a * y[t] + (1 - a) * pred
-        trend = b * (new_level - level) + (1 - b) * trend
+        new_level = a * y[t] + one_minus_a * pred
+        trend = b * (new_level - level) + one_minus_b * trend
         level = new_level
     return a, b, sse
 
 
 def holt_fit(series: UnivariateSeries) -> tuple[HoltParams, HoltState]:
     """Pick (alpha, beta) minimising one-step SSE over the full 0.01-step
-    grid; ties go to the smaller alpha, then the smaller beta."""
+    grid; ties go to the smaller alpha, then the smaller beta. Counts so
+    large that the grid's SSEs overflow, leaving no finite minimum, raise
+    :class:`FitError`."""
     if len(series) < 4:
         raise InsufficientDataError(
             f"Holt fit needs >= 4 points, got {len(series)}"
         )
     y = np.asarray(series.values, dtype=float)
-    a, b, sse = _holt_grid_sse(y)
-    best = float(np.min(sse))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, sse = _holt_grid_sse(y)
+    best = float(np.min(sse))  # NaN if any pair's SSE is NaN
+    if not math.isfinite(best):
+        raise FitError(f"{series.name}: Holt one-step errors overflow")
     # tolerance keeps exact-fit cases (all-zero SSE up to rounding) tied
     tie = sse <= best + 1e-10 * (1.0 + best)
     idx = int(np.argmax(tie))
@@ -219,35 +225,18 @@ _FILTER_NUMERATOR = np.ones(1)
 def _linear_filter():
     """scipy's linear-filter kernel, imported on first use: importing
     ``scipy.signal`` takes about a second, and only ARIMA fits with an MA
-    part need it. :class:`ArimaForecaster` loads it when built."""
+    part need it. :class:`ArimaForecaster` loads it when built.
+
+    For a float64 ``a = [1, theta...]`` with ``len(a) > 1``,
+    ``kernel(_FILTER_NUMERATOR, a, u, -1)`` is ``signal.lfilter([1.0], a, u)``
+    bit for bit: lfilter's public wrapper only checks its arguments and then
+    makes exactly this call. The CSS search filters hundreds of thousands of
+    times, and the wrapper's checks and array-API dispatch took longer than
+    the filter itself.
+    """
     from scipy.signal import _sigtools
 
     return _sigtools._linear_filter
-
-
-def _ma_filter(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``signal.lfilter([1.0], a, u)`` for a float64 ``a`` with ``a[0] == 1``
-    and ``len(a) > 1``: innovations of an MA polynomial ``a = [1, theta...]``.
-
-    For such an ``a``, lfilter's public wrapper only checks its arguments and
-    then makes exactly this kernel call, so the bits are the same. The CSS
-    search calls it hundreds of thousands of times, and the wrapper's checks
-    and array-API dispatch took longer than the filter itself.
-    """
-    return _linear_filter()(_FILTER_NUMERATOR, a, u, -1)
-
-
-def css_residuals(
-    w: np.ndarray, c: float, phi: np.ndarray, theta: np.ndarray, burn: int
-) -> np.ndarray:
-    """Innovations for t >= burn, conditioning on zero pre-window shocks."""
-    lags = _lag_matrix(w, len(phi), burn)
-    u = w[burn:] - c
-    if len(phi):
-        u = u - lags @ phi
-    if len(theta):
-        u = _ma_filter(np.concatenate([[1.0], theta]), u)
-    return u
 
 
 def _ols(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
@@ -293,13 +282,15 @@ def css_fit(
     burn: int | None = None,
     x0: np.ndarray | None = None,
     budget: int = 200,
-) -> tuple[float, np.ndarray, np.ndarray, float]:
+) -> tuple[float, np.ndarray, np.ndarray, float, np.ndarray]:
     """Minimise the conditional sum of squared innovations.
 
     Pure AR cases solve in closed form by least squares; mixed models use
     Nelder-Mead from a Hannan-Rissanen warm start (or ``x0``). ``budget``
     scales the evaluation cap per free parameter. Returns
-    (c, phi, theta, sse) with the SSE taken over ``w[burn:]``.
+    (c, phi, theta, sse, e): the innovations ``e`` for ``w[burn:]`` at the
+    returned coefficients, conditioning on zero pre-window shocks, and the
+    SSE over them (in pure AR cases, least squares' own).
     """
     w = np.asarray(w, dtype=float)
     if burn is None:
@@ -313,61 +304,55 @@ def css_fit(
         )
     target = w[burn:]
     lags = _lag_matrix(w, p, burn)
-
-    def ar_solution() -> tuple[float, np.ndarray, float]:
-        design = lags
-        if intercept:
-            design = np.column_stack([np.ones(n_eff), lags])
-        coef, sse = _ols(design, target)
-        if intercept and len(coef):
-            return float(coef[0]), coef[1:], sse
-        return 0.0, coef, sse
-
-    c_ar, phi_ar, sse_ar = ar_solution()
-    if q == 0:
-        return c_ar, phi_ar, np.empty(0), sse_ar
-
     off = 1 if intercept else 0
+    ma_poly = np.ones(q + 1)  # [1, theta...], theta refilled on every call
+    linear_filter = _linear_filter() if q else None  # bound once
 
-    def unpack(x: np.ndarray):
-        c = x[0] if intercept else 0.0
-        return float(c), x[off : off + p], x[off + p :]
-
-    ma_poly = np.empty(q + 1)  # [1, theta...], refilled on every call
-    ma_poly[0] = 1.0
-    linear_filter = _linear_filter()  # _ma_filter's kernel, bound once
-
-    def objective(x: np.ndarray) -> float:
+    def innovations(x: np.ndarray) -> np.ndarray:
+        """The innovations at ``x = [c?, phi..., theta...]``, in a new array."""
         # subtracting a zero intercept is exact, so without one it is skipped
         u = target - float(x[0]) if intercept else target
         if p:
             u = u - lags @ x[off : off + p]
-        ma_poly[1:] = x[off + p :]
-        e = linear_filter(_FILTER_NUMERATOR, ma_poly, u, -1)
-        sse = float(e @ e)
-        return sse if math.isfinite(sse) else 1e300
+        if q:
+            ma_poly[1:] = x[off + p :]
+            u = linear_filter(_FILTER_NUMERATOR, ma_poly, u, -1)
+        return target.copy() if u is target else u
 
-    starts = []
-    if x0 is not None:
-        starts.append(np.asarray(x0, dtype=float))
+    design = lags
+    if intercept:
+        design = np.column_stack([np.ones(n_eff), lags])
+    x_ar, sse_ar = _ols(design, target)  # [c?, phi...]
+    if q == 0:
+        best_x, best_sse = x_ar, sse_ar
     else:
-        hr = _hannan_rissanen_start(w, p, q, intercept)
-        if hr is not None and len(hr) == p + q + off:
-            starts.append(hr)
-        starts.append(
-            np.concatenate([[c_ar] if intercept else [], phi_ar, np.zeros(q)])
-        )
-    # the first start with the smallest SSE, each start scored once
-    scores = [objective(start) for start in starts]
-    best_sse = min(scores)
-    best_x = starts[scores.index(best_sse)]
-    x, fun = nelder_mead(
-        objective, best_x, maxfev=budget * len(best_x), xatol=1e-6, fatol=1e-10
-    )
-    if float(fun) < best_sse:
-        best_x, best_sse = x, float(fun)
-    c, phi, theta = unpack(best_x)
-    return c, phi.copy(), theta.copy(), best_sse
+        def objective(x: np.ndarray) -> float:
+            e = innovations(x)
+            sse = float(e @ e)
+            return sse if math.isfinite(sse) else 1e300
+
+        starts = []
+        if x0 is not None:
+            starts.append(np.asarray(x0, dtype=float))
+        else:
+            hr = _hannan_rissanen_start(w, p, q, intercept)
+            if hr is not None and len(hr) == p + q + off:
+                starts.append(hr)
+            starts.append(np.concatenate([x_ar, np.zeros(q)]))
+        # the objective scores a non-finite SSE 1e300, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the first start with the smallest SSE, each start scored once
+            scores = [objective(start) for start in starts]
+            best_sse = min(scores)
+            best_x = starts[scores.index(best_sse)]
+            x, fun = nelder_mead(objective, best_x,
+                                 maxfev=budget * len(best_x),
+                                 xatol=1e-6, fatol=1e-10)
+        if float(fun) < best_sse:
+            best_x, best_sse = x, float(fun)
+    c = float(best_x[0]) if intercept else 0.0
+    return (c, best_x[off : off + p].copy(), best_x[off + p :].copy(),
+            best_sse, innovations(best_x))
 
 
 def css_aic(sse: float, n_eff: int, p: int, q: int, intercept: bool) -> float:
@@ -420,7 +405,7 @@ def arima_fit(
         for p in range(MAX_ARMA_ORDER + 1):
             for q in range(MAX_ARMA_ORDER + 1):
                 try:
-                    _, _, _, sse = css_fit(
+                    _, _, _, sse, _ = css_fit(
                         w, p, q, intercept, burn=MAX_ARMA_ORDER,
                         budget=SELECTION_BUDGET,
                     )
@@ -432,20 +417,17 @@ def arima_fit(
         if best is None:
             raise FitError("no ARMA order is estimable on this series")
         _, p, q = best
-        c, phi, theta, sse = css_fit(w, p, q, intercept)
-    else:
-        if len(w) <= p:
-            raise InsufficientDataError(
-                f"series too short to difference and lag for order {order}"
-            )
-        c, phi, theta, sse = css_fit(w, p, q, intercept)
+    elif len(w) <= p:
+        raise InsufficientDataError(
+            f"series too short to difference and lag for order {order}"
+        )
+    c, phi, theta, sse, resid = css_fit(w, p, q, intercept)
 
     if not np.isfinite(sse) or not (
         np.all(np.isfinite(phi)) and np.all(np.isfinite(theta))
     ):
         raise FitError(f"CSS optimiser did not converge for order ({p},{d},{q})")
 
-    resid = css_residuals(w, c, phi, theta, burn=p)
     n_eff = len(resid)
     fitted = np.full(n, np.nan)
     offset = d + p

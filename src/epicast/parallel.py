@@ -9,9 +9,9 @@ output is the same for any number of workers; ``taskset -c 0`` gives a
 serial run in this process.
 
 Workers are forked, never spawned: the unit function reaches them through
-the pool's initializer as inherited memory, so closures and objects that do
-not pickle (a ``UnivariateSeries``, a test's patched function) work as they
-do in-process. Only unit indices and results cross between processes.
+the pool's initializer as inherited memory, so closures and functions that
+do not pickle (a test's patched function) work as they do in-process.
+Only unit indices and results cross between processes.
 The pool forks every worker before it starts its own threads. Where a fork
 is unsafe or would hide the fits from their caller, the units run in this
 process instead (see :func:`_may_fork`).
@@ -21,16 +21,16 @@ seen to leave both workers of a process's first pool there for about half
 a second. So each worker moves itself onto its own CPU of the parent's
 affinity mask at start-up, then takes the whole mask back: it is placed,
 not pinned.
+
+``multiprocessing`` and ``concurrent.futures`` are imported only where a
+pool may start, so commands that never fork do not load them.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, TypeVar
 
 from .errors import EpicastError
@@ -75,6 +75,8 @@ def _may_fork() -> bool:
     (logging's, a buffered stream's) held for good; and where a function of
     the package is wrapped from outside, since the wrapper's records of the
     calls a worker makes would stay in that worker."""
+    import multiprocessing
+
     return (
         "fork" in multiprocessing.get_all_start_methods()
         and not multiprocessing.current_process().daemon
@@ -142,6 +144,10 @@ def map_units(fn: Callable[[int], R], n: int) -> list[R]:
     workers = worker_count(n)
     if workers <= 1:
         return [fn(i) for i in range(n)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     context = multiprocessing.get_context("fork")
     cpus = (sorted(os.sched_getaffinity(0))
             if hasattr(os, "sched_setaffinity") else [])

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import datetime
 import functools
 import io
 import os
@@ -549,6 +550,20 @@ class TestFailureModes:
             "2020-01-01\n")
         assert not out.exists()
 
+    def test_overflowing_holt_fit_exits_one_silently(self, tmp_path):
+        # every grid pair's squared one-step errors overflow
+        path = tmp_path / "series.csv"
+        path.write_text("date,value\n" + "".join(
+            f"2020-03-0{day},{value}\n"
+            for day, value in enumerate(["1e308", 0, 0, 5, 6], start=1)),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        done = self.run_in_fresh_process("forecast", "--model", "holt",
+                                         "--input", path, "--out", out)
+        assert done.returncode == 1
+        assert done.stderr == "error: series: Holt one-step errors overflow\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("model, lags", [("holt-wbann", 302),
                                              ("arima-wbf", 300)])
     def test_too_many_lags_exits_one(self, tmp_path, capsys, model, lags):
@@ -565,6 +580,17 @@ class TestFailureModes:
         out = tmp_path / "out"
         assert run(["forecast", "--input", path, "--model", "holt",
                     "--out", out]) == 0
+
+    def test_log_env_variable_takes_only_level_names(self, tmp_path,
+                                                     monkeypatch):
+        # BASIC_FORMAT is a logging attribute but a format string, not a
+        # level: it falls back to warning like an unknown name
+        monkeypatch.setenv("EPICAST_LOG", "basic_format")
+        done = self.run_in_fresh_process(
+            "r0", "--input", fixture_path("india_confirmed.csv"),
+            "--out", tmp_path / "out")
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
 
 @functools.cache
@@ -617,6 +643,29 @@ FLAG_VALUES = {
     **dict.fromkeys(("--repeats", "--epochs"),
                     st.sampled_from(["-1", "0", "1", "3"])),
 }
+
+# panel counts of every size and sign, and cells no count parses from
+COUNTS = ["0", "1", "7", "250", "1e6", "-3", "2.5"]
+HUGE_COUNTS = ["1e300", "1e308", "-1e308"]
+ODD_CELLS = st.sampled_from(["nan", "inf", "-inf", "", "x", "1,2"])
+
+
+@st.composite
+def panel_files(draw) -> bytes:
+    """A panel file of 1 to 3 states, one row per day from 2020-03-01 on;
+    one file in two may hold huge counts, and one in four an odd cell."""
+    states = draw(st.integers(1, 3))
+    counts = st.sampled_from(COUNTS + HUGE_COUNTS * draw(st.booleans()))
+    rows = draw(st.lists(st.lists(counts, min_size=states + 1,
+                                  max_size=states + 1), max_size=30))
+    if rows and draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, states))] = draw(ODD_CELLS)
+    start = datetime.date(2020, 3, 1)
+    lines = [",".join(["date", "total", *"abc"[:states]])] + [
+        ",".join([(start + datetime.timedelta(days=k)).isoformat(), *cells])
+        for k, cells in enumerate(rows)]
+    return "\n".join(lines).encode() + b"\n"
 
 
 class TestArbitraryInput:
@@ -673,5 +722,30 @@ class TestArbitraryInput:
                     code = run(["r0", "--input", path, "--out", Path(tmp) / "out"])
                 except SystemExit as exc:
                     code = exc.code
+        assert code in (0, 1, 2)
+        assert err.getvalue().count("error:") <= 1, err.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(payload=st.one_of(
+        st.binary(max_size=200),
+        st.binary(max_size=200).map(lambda b: b"date,total,a,b\n" + b),
+        panel_files(),
+    ))
+    def test_adjust_exits_zero_or_one(self, payload):
+        # any panel file, fitted by Holt alone to keep each run short: exit
+        # 0 or 1, or argparse's 2, with at most one "error:" line; any other
+        # exception fails the test
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "panel.csv"
+            path.write_bytes(payload)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore", NegativeValueWarning)
+                try:
+                    code = run(["adjust", "--model", "holt", "--input", path,
+                                "--out", Path(tmp) / "out"])
+                except SystemExit as exc:
+                    code = exc.code
+        event(f"exit {code}")
         assert code in (0, 1, 2)
         assert err.getvalue().count("error:") <= 1, err.getvalue()

@@ -366,6 +366,14 @@ def test_cli_import_loads_no_scipy():
     assert python_output(code) == "[]\n"
 
 
+def test_cli_import_loads_no_pool_modules():
+    # they load socket, selectors and subprocess, which only a fork needs
+    code = ("import sys, epicast.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    assert python_output(code) == "[]\n"
+
+
 def test_arima_kernel_imported_before_the_fork():
     # so that the workers share scipy.signal rather than each importing it;
     # one fresh interpreter per tag, since an import cannot be undone
