@@ -5,8 +5,9 @@ committed fixtures, so that two checkouts can be compared with one ``diff``.
 Each command runs in a fresh process on this checkout's ``src`` with
 ``--seed 42`` and its own output directory. The digests of its ``--out``
 files and of its stdout are printed one per line, as
-``<sha256>  <command>/<file>``. A command that exits nonzero stops the
-script with its stderr.
+``<sha256>  <command>/<file>``. A command that exits nonzero, or writes
+anything to stderr (a numpy warning, say), stops the script with its
+stderr.
 
     python3 scripts/fixture_digests.py > mine.txt
     (cd ../other && python3 scripts/fixture_digests.py) > theirs.txt
@@ -47,9 +48,10 @@ def digests(command: str, out: Path) -> list[tuple[str, str]]:
             "--seed", "42", "--out", str(out), *flags]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(argv, env=env, capture_output=True)
-    if done.returncode != 0:
+    if done.returncode != 0 or done.stderr:
         sys.stderr.write(done.stderr.decode(errors="replace"))
-        raise SystemExit(f"{command} exited {done.returncode}")
+        raise SystemExit(f"{command} exited {done.returncode} and wrote "
+                         f"{len(done.stderr)} bytes to stderr")
     rows = [(sha256(done.stdout), f"{command}/stdout")]
     for path in sorted(out.iterdir()):
         rows.append((sha256(path.read_bytes()), f"{command}/{path.name}"))

@@ -11,8 +11,6 @@ from .adjust import (
     AdjustmentInput,
     AdjustmentResult,
     adjust_forecasts,
-    compute_discrepancy,
-    compute_weights,
     compute_weights_history,
 )
 from .core import (
@@ -74,7 +72,7 @@ from .neural import (
     wbann_fit,
     wbann_forecast,
 )
-from .wavelet import WaveletMra, choose_levels, imodwt_haar, modwt_haar
+from .wavelet import WaveletMra, choose_levels, modwt_haar
 
 __version__ = "0.1.0"
 

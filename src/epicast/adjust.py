@@ -2,7 +2,7 @@
 the national forecast.
 
 The gap ``d = national_forecast - sum(state_forecasts)`` is either
-distributed over the states in proportion to their squared last-point
+distributed over the states in proportion to their squared recent
 residuals (when the national model's last error is no larger than the
 states' aggregate error) or absorbed by replacing the national forecast
 with the state sum. Both branches leave the corrected system
@@ -69,19 +69,6 @@ class AdjustmentResult:
     branch: str
 
 
-def _normalise_squared(scores: np.ndarray) -> np.ndarray:
-    total = float(scores.sum())
-    if total == 0.0:
-        return np.full(len(scores), 1.0 / len(scores))
-    return scores / total
-
-
-def compute_weights(last_observed_states, last_fitted_states) -> np.ndarray:
-    """Share of the correction per state: squared last-point residuals,
-    normalised; uniform when every residual is zero (``last`` mode)."""
-    return compute_weights_history(last_observed_states, last_fitted_states)
-
-
 def check_weight_rule(mode: str, window: int = 7, decay: float = 0.9) -> None:
     """Raise :class:`ValidationError` unless ``mode`` names a weight rule
     and its ``window`` or ``decay`` lies in range."""
@@ -97,20 +84,22 @@ def compute_weights_history(
     observed: np.ndarray, fitted: np.ndarray, mode: str = "last",
     window: int = 7, decay: float = 0.9,
 ) -> np.ndarray:
-    """Weights from per-state residual histories (rows = days, columns =
-    states; a 1-D history is one day): ``last`` point, mean over a trailing
-    ``window``, or an exponentially weighted mean with factor ``decay`` over
-    the timeline. The histories must be finite, with a day and a state."""
+    """Each state's share of the correction: its squared residuals over the
+    histories (rows = days, columns = states), normalised, and uniform when
+    every score is zero. A state scores its ``last`` point, its mean over a
+    trailing ``window``, or an exponentially weighted mean with factor
+    ``decay`` over the timeline. The histories must be finite, with a day
+    and a state."""
     obs = np.asarray(observed, dtype=float)
     fit = np.asarray(fitted, dtype=float)
     if obs.shape != fit.shape:
         raise ValidationError("observed/fitted histories must match in shape")
-    if obs.ndim not in (1, 2) or obs.size == 0:
+    if obs.ndim != 2 or obs.size == 0:
         raise ValidationError(f"need a days x states history, got {obs.shape}")
     if not (np.isfinite(obs).all() and np.isfinite(fit).all()):
         raise ValidationError("observed/fitted histories must be finite")
     check_weight_rule(mode, window, decay)
-    sq = np.atleast_2d(obs - fit) ** 2
+    sq = (obs - fit) ** 2
     if mode == "last":
         scores = sq[-1]
     elif mode == "window":
@@ -118,31 +107,23 @@ def compute_weights_history(
     else:
         lam = decay ** np.arange(len(sq) - 1, -1, -1, dtype=float)
         scores = (lam[:, None] * sq).sum(axis=0) / lam.sum()
-    return _normalise_squared(scores)
-
-
-def compute_discrepancy(inp: AdjustmentInput) -> float:
-    """National forecast minus the sum of state forecasts."""
-    return float(inp.national_forecast - inp.state_forecasts.sum())
+    total = float(scores.sum())
+    if total == 0.0:
+        return np.full(len(scores), 1.0 / len(scores))
+    return scores / total
 
 
 def adjust_forecasts(
-    inp: AdjustmentInput, weights: np.ndarray | None = None
+    inp: AdjustmentInput, weights: np.ndarray
 ) -> AdjustmentResult:
-    """Apply the constant-sum correction.
-
-    ``weights`` overrides the last-point squared-residual rule (e.g. with
-    a windowed or exponentially weighted variant); it must sum to 1.
-    """
-    if weights is None:
-        weights = compute_weights(inp.last_observed_states, inp.last_fitted_states)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (inp.n,):
-            raise ValidationError(f"weights must have shape ({inp.n},)")
-        if abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise ValidationError("weights must sum to 1")
-    d = compute_discrepancy(inp)
+    """Apply the constant-sum correction, sharing the gap by ``weights``
+    (from :func:`compute_weights_history`; one per state, summing to 1)."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (inp.n,):
+        raise ValidationError(f"weights must have shape ({inp.n},)")
+    if abs(float(weights.sum()) - 1.0) > 1e-9:
+        raise ValidationError("weights must sum to 1")
+    d = float(inp.national_forecast - inp.state_forecasts.sum())
     national_error = abs(inp.last_observed_national - inp.last_fitted_national)
     states_error = abs(
         float((inp.last_observed_states - inp.last_fitted_states).sum())

@@ -37,6 +37,7 @@ log = logging.getLogger("epicast")
 
 DEFAULT_MODEL = "holt-wbann"
 DEFAULT_POPULATION = 1.38e9
+CHART_WIDTH, CHART_HEIGHT = 720, 360  # SVG chart size, in pixels
 TAG_GRAMMAR = (f"{', '.join(MODEL_TAGS)} or arima(p,d,q) with p and q from 0 "
                "to 5 and d from 0 to 2, ignoring case and surrounding blanks")
 
@@ -58,9 +59,9 @@ def _write(path: Path, kind: str, payload) -> None:
             fh.write(payload)
 
 
-def _svg_chart(series_by_name: dict, title: str, width=720, height=360) -> str:
+def _svg_chart(series_by_name: dict, title: str) -> str:
     """Minimal multi-line SVG chart; data-only, no external services."""
-    pad = 40
+    width, height, pad = CHART_WIDTH, CHART_HEIGHT, 40
     xs = [x for _, points in series_by_name.items() for x, _ in points]
     ys = [y for _, points in series_by_name.items() for _, y in points]
     x_lo, x_hi = min(xs), max(xs)

@@ -22,6 +22,7 @@ from .errors import DomainError, FitError, InsufficientDataError, ValidationErro
 from .simplex import nelder_mead
 
 Z_95 = 1.96
+GROWTH_WINDOW = 30  # days of the default growth-rate fit
 
 SIR_BOUNDS = {
     "beta": (1e-6, 5.0),
@@ -73,13 +74,14 @@ class SirFit:
         return self.beta / self.gamma
 
 
-def default_growth_window(series: UnivariateSeries, length: int = 30):
-    """First ``length`` observations starting at the first positive count."""
+def default_growth_window(series: UnivariateSeries):
+    """First ``GROWTH_WINDOW`` observations starting at the first positive
+    count."""
     positive = np.flatnonzero(series.values > 0)
     if not len(positive):
         raise ValidationError(f"{series.name}: no positive observations")
     start = int(positive[0])
-    return start, min(start + length, len(series))
+    return start, min(start + GROWTH_WINDOW, len(series))
 
 
 def fit_growth_rate(series: UnivariateSeries, window=None):

@@ -290,7 +290,8 @@ def css_fit(
     scales the evaluation cap per free parameter. Returns
     (c, phi, theta, sse, e): the innovations ``e`` for ``w[burn:]`` at the
     returned coefficients, conditioning on zero pre-window shocks, and the
-    SSE over them (in pure AR cases, least squares' own).
+    SSE over them (in pure AR cases, least squares' own), or ``inf`` where
+    it is not finite.
     """
     w = np.asarray(w, dtype=float)
     if burn is None:
@@ -322,25 +323,27 @@ def css_fit(
     design = lags
     if intercept:
         design = np.column_stack([np.ones(n_eff), lags])
-    x_ar, sse_ar = _ols(design, target)  # [c?, phi...]
-    if q == 0:
-        best_x, best_sse = x_ar, sse_ar
-    else:
-        def objective(x: np.ndarray) -> float:
-            e = innovations(x)
-            sse = float(e @ e)
-            return sse if math.isfinite(sse) else 1e300
-
-        starts = []
-        if x0 is not None:
-            starts.append(np.asarray(x0, dtype=float))
+    # squares of counts near the float range overflow: such an SSE scores
+    # inf, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_ar, sse_ar = _ols(design, target)  # [c?, phi...]
+        if q == 0:
+            best_x = x_ar
+            best_sse = sse_ar if math.isfinite(sse_ar) else math.inf
         else:
-            hr = _hannan_rissanen_start(w, p, q, intercept)
-            if hr is not None and len(hr) == p + q + off:
-                starts.append(hr)
-            starts.append(np.concatenate([x_ar, np.zeros(q)]))
-        # the objective scores a non-finite SSE 1e300, so numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
+            def objective(x: np.ndarray) -> float:
+                e = innovations(x)
+                sse = float(e @ e)
+                return sse if math.isfinite(sse) else math.inf
+
+            starts = []
+            if x0 is not None:
+                starts.append(np.asarray(x0, dtype=float))
+            else:
+                hr = _hannan_rissanen_start(w, p, q, intercept)
+                if hr is not None and len(hr) == p + q + off:
+                    starts.append(hr)
+                starts.append(np.concatenate([x_ar, np.zeros(q)]))
             # the first start with the smallest SSE, each start scored once
             scores = [objective(start) for start in starts]
             best_sse = min(scores)
@@ -348,11 +351,12 @@ def css_fit(
             x, fun = nelder_mead(objective, best_x,
                                  maxfev=budget * len(best_x),
                                  xatol=1e-6, fatol=1e-10)
-        if float(fun) < best_sse:
-            best_x, best_sse = x, float(fun)
+            if float(fun) < best_sse:
+                best_x, best_sse = x, float(fun)
+        e = innovations(best_x)
     c = float(best_x[0]) if intercept else 0.0
     return (c, best_x[off : off + p].copy(), best_x[off + p :].copy(),
-            best_sse, innovations(best_x))
+            best_sse, e)
 
 
 def css_aic(sse: float, n_eff: int, p: int, q: int, intercept: bool) -> float:
@@ -367,9 +371,11 @@ def choose_difference_order(y: np.ndarray) -> int:
     sample variance."""
     variances = []
     w = np.asarray(y, dtype=float)
-    for _ in range(MAX_DIFF + 1):
-        variances.append(float(np.var(w)))
-        w = np.diff(w)
+    # the variance of counts near the float range overflows to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_DIFF + 1):
+            variances.append(float(np.var(w)))
+            w = np.diff(w)
     for d in range(MAX_DIFF):
         if variances[d + 1] >= variances[d]:
             return d
@@ -423,10 +429,12 @@ def arima_fit(
         )
     c, phi, theta, sse, resid = css_fit(w, p, q, intercept)
 
-    if not np.isfinite(sse) or not (
-        np.all(np.isfinite(phi)) and np.all(np.isfinite(theta))
-    ):
-        raise FitError(f"CSS optimiser did not converge for order ({p},{d},{q})")
+    # non-finite coefficients give non-finite innovations, so this also
+    # catches a search that diverged
+    if not math.isfinite(sse):
+        raise FitError(
+            f"{series.name}: ARIMA({p},{d},{q}) sum of squares is not finite"
+        )
 
     n_eff = len(resid)
     fitted = np.full(n, np.nan)

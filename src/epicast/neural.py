@@ -86,12 +86,14 @@ def _forward(weights: dict, x: np.ndarray) -> np.ndarray:
 
 
 def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
-             component_labels=None) -> dict:
+             component_labels: list) -> dict:
     """Run the gradient-descent epochs over stacked nets.
 
     Shapes: x (C, N, p), y (C, N); weights w1 (C, R, p, H), b1 (C, R, H),
     w2 (C, R, H), b2 (C, R). Each epoch steps every (component, restart)
-    pair down the gradient of its mean squared error. The readable form of
+    pair down the gradient of its mean squared error; a non-finite loss
+    raises :class:`TrainingError` naming the pair, the component by its
+    entry in ``component_labels``. The readable form of
     that gradient is ``stacked_loss_and_grads`` in ``tests/oracles.py``;
     this loop does the same arithmetic reordered for speed: the
     hidden-layer bias rides as an extra input column so its gradient
@@ -131,10 +133,10 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
         with np.errstate(over="ignore", invalid="ignore"):
             losses = np.mean(pred[..., 0] ** 2, axis=-1)
         comp, restart = np.argwhere(~np.isfinite(losses))[0]
-        where = f"restart {restart}"
-        if component_labels is not None:
-            where = f"component {component_labels[comp]}, {where}"
-        raise TrainingError(f"non-finite loss at epoch {epoch}, {where}")
+        raise TrainingError(
+            f"non-finite loss at epoch {epoch}, "
+            f"component {component_labels[comp]}, restart {restart}"
+        )
 
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):

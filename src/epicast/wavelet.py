@@ -53,9 +53,6 @@ class WaveletMra:
         """Details followed by the smooth: levels + 1 additive vectors."""
         return self.details + (self.smooth,)
 
-    def reconstruct(self) -> np.ndarray:
-        return np.sum(self.components, axis=0)
-
 
 def _analysis_step(v: np.ndarray, j: int):
     lagged = np.roll(v, 2 ** (j - 1))
@@ -110,17 +107,3 @@ def modwt_haar(series, levels: int) -> WaveletMra:
         smooth=smooth,
     )
 
-
-def imodwt_haar(mra: WaveletMra) -> np.ndarray:
-    """Invert the coefficient pyramid, recovering the original series."""
-    n = len(mra.scaling_coeffs)
-    if len(mra.wavelet_coeffs) != mra.levels:
-        raise ValidationError(
-            f"expected {mra.levels} wavelet coefficient vectors, "
-            f"got {len(mra.wavelet_coeffs)}"
-        )
-    for j, w in enumerate(mra.wavelet_coeffs, start=1):
-        if len(w) != n:
-            raise ValidationError(f"level {j} coefficients have length {len(w)}, "
-                                  f"expected {n}")
-    return _synthesize(mra.wavelet_coeffs, mra.scaling_coeffs)

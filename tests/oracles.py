@@ -88,3 +88,21 @@ def coefficient_energy(mra) -> float:
     for w in mra.wavelet_coeffs:
         total += float(np.sum(w**2))
     return total
+
+
+def reconstruct(mra) -> np.ndarray:
+    """Sum of a MODWT's multiresolution components, details and smooth:
+    the input series to within rounding."""
+    return np.sum(mra.components, axis=0)
+
+
+def imodwt_haar(mra) -> np.ndarray:
+    """Invert the Haar coefficient pyramid from the deepest level up: level
+    j maps (w_j, v_j) back to v_{j-1} through the circular filters at lag
+    2**(j-1). Recovers the input series to within rounding."""
+    v = mra.scaling_coeffs
+    for j in range(mra.levels, 0, -1):
+        w = mra.wavelet_coeffs[j - 1]
+        shift = 2 ** (j - 1)
+        v = (w - np.roll(w, -shift)) / 2.0 + (v + np.roll(v, -shift)) / 2.0
+    return v

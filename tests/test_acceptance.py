@@ -12,17 +12,21 @@ import time
 import numpy as np
 import pytest
 
-from epicast.adjust import AdjustmentInput, adjust_forecasts, compute_weights
+from epicast.adjust import (
+    AdjustmentInput,
+    adjust_forecasts,
+    compute_weights_history,
+)
 from epicast.cli import main
 from epicast.epi import GenerationInterval, r0_from_growth, sir_fit, sir_simulate
 from epicast.evaluate import monitor, shelf_life, shelf_life_from_apes
 from epicast.forecasters import HoltParams, holt_filter, holt_fit, holt_forecast
 from epicast.hybrid import HybridForecaster
 from epicast.neural import TdnnConfig, _init_weights, wbann_forecast
-from epicast.wavelet import choose_levels, imodwt_haar, modwt_haar
+from epicast.wavelet import choose_levels, modwt_haar
 
 from conftest import linear_series, make_series
-from oracles import coefficient_energy, loss_and_grads
+from oracles import coefficient_energy, imodwt_haar, loss_and_grads
 
 
 def report(criterion, ok, detail=""):
@@ -211,7 +215,10 @@ class TestCriterion6Adjustment:
                 last_observed_national=float(rng.normal(100 * n, 60)),
                 last_fitted_national=float(rng.normal(100 * n, 60)),
             )
-            result = adjust_forecasts(inp)
+            weights = compute_weights_history(
+                [inp.last_observed_states], [inp.last_fitted_states]
+            )
+            result = adjust_forecasts(inp, weights)
             branches.add(result.branch)
             worst_weight = max(worst_weight, abs(float(result.weights.sum()) - 1.0))
             worst_sum = max(
@@ -221,7 +228,9 @@ class TestCriterion6Adjustment:
                     - float(result.corrected_state_forecasts.sum())
                 ),
             )
-        hand = compute_weights([11.0, 12.0, 13.0], [10.0, 10.0, 10.0])
+        hand = compute_weights_history(
+            [[11.0, 12.0, 13.0]], [[10.0, 10.0, 10.0]]
+        )
         hand_gap = float(
             np.max(np.abs(hand - np.array([1 / 14, 4 / 14, 9 / 14])))
         )

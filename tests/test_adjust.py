@@ -6,8 +6,6 @@ from epicast.adjust import (
     NATIONAL_FOLLOWS_STATES,
     AdjustmentInput,
     adjust_forecasts,
-    compute_discrepancy,
-    compute_weights,
     compute_weights_history,
 )
 from epicast.errors import ValidationError
@@ -31,17 +29,25 @@ def build_input(
     )
 
 
+def last_point_weights(inp):
+    """The ``last``-mode weights of a one-day history: the input's own
+    last observed and fitted states."""
+    return compute_weights_history(
+        [inp.last_observed_states], [inp.last_fitted_states]
+    )
+
+
 class TestWeights:
     def test_symmetric_residuals(self):
-        w = compute_weights([13.0, 7.0], [10.0, 10.0])  # residuals 3, -3
+        w = compute_weights_history([[13.0, 7.0]], [[10.0, 10.0]])  # residuals 3, -3
         assert np.allclose(w, [0.5, 0.5], atol=1e-15)
 
     def test_hand_arithmetic(self):
-        w = compute_weights([11.0, 12.0, 13.0], [10.0, 10.0, 10.0])
+        w = compute_weights_history([[11.0, 12.0, 13.0]], [[10.0, 10.0, 10.0]])
         assert np.allclose(w, [1 / 14, 4 / 14, 9 / 14], atol=1e-12)
 
     def test_zero_residual_fallback(self):
-        w = compute_weights([5.0, 5.0, 5.0], [5.0, 5.0, 5.0])
+        w = compute_weights_history([[5.0, 5.0, 5.0]], [[5.0, 5.0, 5.0]])
         assert np.allclose(w, [1 / 3, 1 / 3, 1 / 3], atol=0)
 
     def test_normalisation(self):
@@ -49,7 +55,7 @@ class TestWeights:
         for _ in range(50):
             obs = rng.normal(size=5)
             fit = rng.normal(size=5)
-            assert abs(compute_weights(obs, fit).sum() - 1.0) < 1e-12
+            assert abs(compute_weights_history([obs], [fit]).sum() - 1.0) < 1e-12
 
     def test_history_modes(self):
         obs = np.array([[1.0, 2.0], [2.0, 1.0], [4.0, 1.0]])
@@ -71,11 +77,12 @@ class TestWeights:
         np.empty((0, 2)),  # no days
         np.empty((3, 0)),  # no states
         np.empty(0),
+        np.array([1.0, 2.0]),  # one day, not days x states
         np.ones((2, 2, 2)),  # not days x states
         np.float64(1.0),
         np.array([[1.0, np.nan], [2.0, 1.0]]),
         np.array([[1.0, 2.0], [np.inf, 1.0]]),
-    ], ids=["no-days", "no-states", "empty-1d", "3d", "scalar", "nan", "inf"])
+    ], ids=["no-days", "no-states", "empty-1d", "1d", "3d", "scalar", "nan", "inf"])
     def test_malformed_history(self, observed, mode):
         with pytest.raises(ValidationError):
             compute_weights_history(observed, np.zeros_like(observed), mode=mode)
@@ -85,16 +92,19 @@ class TestWeights:
 
 class TestDiscrepancy:
     def test_zero(self):
-        assert compute_discrepancy(build_input()) == 0.0
+        inp = build_input()
+        assert adjust_forecasts(inp, last_point_weights(inp)).discrepancy == 0.0
 
     def test_subtraction(self):
         inp = build_input(national=110.0)
-        assert compute_discrepancy(inp) == pytest.approx(10.0, abs=1e-12)
+        result = adjust_forecasts(inp, last_point_weights(inp))
+        assert result.discrepancy == pytest.approx(10.0, abs=1e-12)
 
 
 class TestAdjust:
     def test_zero_discrepancy_is_noop(self):
-        result = adjust_forecasts(build_input())
+        inp = build_input()
+        result = adjust_forecasts(inp, last_point_weights(inp))
         assert np.array_equal(result.corrected_state_forecasts, [40.0, 60.0])
         assert result.corrected_national_forecast == 100.0
         assert result.corrected_national_forecast == pytest.approx(
@@ -111,7 +121,7 @@ class TestAdjust:
             last_observed_national=32.0,
             last_fitted_national=30.0,
         )
-        result = adjust_forecasts(inp)
+        result = adjust_forecasts(inp, last_point_weights(inp))
         assert result.branch == DISTRIBUTE_TO_STATES
         assert result.discrepancy == pytest.approx(10.0, abs=1e-12)
         expected = np.array([40 + 10 / 14, 60 + 40 / 14, 100 + 90 / 14])
@@ -130,7 +140,7 @@ class TestAdjust:
             last_observed_national=39.0,
             last_fitted_national=30.0,
         )
-        result = adjust_forecasts(inp)
+        result = adjust_forecasts(inp, last_point_weights(inp))
         assert result.branch == NATIONAL_FOLLOWS_STATES
         assert result.corrected_national_forecast == pytest.approx(100.0, abs=1e-12)
         assert np.array_equal(result.corrected_state_forecasts, [40.0, 60.0])
@@ -147,7 +157,7 @@ class TestAdjust:
                 last_observed_national=float(rng.normal(50 * n, 30)),
                 last_fitted_national=float(rng.normal(50 * n, 30)),
             )
-            result = adjust_forecasts(inp)
+            result = adjust_forecasts(inp, last_point_weights(inp))
             assert abs(result.weights.sum() - 1.0) < 1e-12
             assert result.corrected_national_forecast == pytest.approx(
                 float(result.corrected_state_forecasts.sum()), abs=1e-9
@@ -176,8 +186,8 @@ class TestAdjust:
             last_observed_national=c * inp.last_observed_national,
             last_fitted_national=c * inp.last_fitted_national,
         )
-        base = adjust_forecasts(inp)
-        result = adjust_forecasts(scaled)
+        base = adjust_forecasts(inp, last_point_weights(inp))
+        result = adjust_forecasts(scaled, last_point_weights(scaled))
         assert result.branch == base.branch
         assert np.allclose(
             result.corrected_state_forecasts,

@@ -564,6 +564,18 @@ class TestFailureModes:
         assert done.stderr == "error: series: Holt one-step errors overflow\n"
         assert not out.exists()
 
+    def test_overflowing_arima_fit_exits_one_silently(self, tmp_path):
+        # squared innovations of counts near 1e155 overflow for every order
+        values = 1e155 * (1.0 + 0.1 * (np.arange(40) % 7))
+        path = write_series_csv(tmp_path, make_series(values))
+        out = tmp_path / "out"
+        done = self.run_in_fresh_process("forecast", "--model", "arima",
+                                         "--input", path, "--out", out)
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: series: ARIMA(0,0,0) sum of squares is not finite\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("model, lags", [("holt-wbann", 302),
                                              ("arima-wbf", 300)])
     def test_too_many_lags_exits_one(self, tmp_path, capsys, model, lags):

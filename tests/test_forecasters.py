@@ -4,13 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize, signal
 
-from epicast.errors import InsufficientDataError, ValidationError
+from epicast.errors import FitError, InsufficientDataError, ValidationError
 from epicast.forecasters import (
     SELECTION_BUDGET,
     ArimaModel,
     HoltParams,
     arima_fit,
     arima_forecast,
+    choose_difference_order,
     css_aic,
     css_fit,
     holt_filter,
@@ -75,7 +76,8 @@ def _reference_css_fit(w, p, q, intercept, burn=None, x0=None, budget=200):
         return u
 
     if q == 0:
-        return (c_ar, phi_ar, np.empty(0), sse_ar,
+        return (c_ar, phi_ar, np.empty(0),
+                sse_ar if np.isfinite(sse_ar) else np.inf,
                 innovations(c_ar, phi_ar, np.empty(0)))
 
     def unpack(x):
@@ -86,7 +88,7 @@ def _reference_css_fit(w, p, q, intercept, burn=None, x0=None, budget=200):
     def objective(x):
         e = innovations(*unpack(x))
         sse = float(e @ e)
-        return sse if np.isfinite(sse) else 1e300
+        return sse if np.isfinite(sse) else np.inf
 
     starts = []
     if x0 is not None:
@@ -251,9 +253,41 @@ class TestArimaFit:
         defined = np.isfinite(model.residual_values)
         assert defined.sum() == len(india) - d - p
 
+    @pytest.mark.parametrize("scale", [1e152, 1e153])
+    def test_selection_scores_are_true_sums_of_squares(self, scale):
+        # squared innovations of counts this large overflow at some of the
+        # points each search tries; an order is ranked on the SSE of the
+        # innovations it returns, or on inf
+        y = scale * (1.0 + 0.1 * (np.arange(40) % 7))
+        d = choose_difference_order(y)
+        w = np.diff(y, n=d) if d else y
+        for p in range(6):
+            for q in range(1, 6):
+                *_, sse, e = css_fit(w, p, q, d == 0, burn=5,
+                                     budget=SELECTION_BUDGET)
+                with np.errstate(over="ignore"):
+                    true_sse = float(e @ e)
+                assert sse == np.inf or sse == true_sse, (p, q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        unit=st.lists(st.floats(0.0, 1.0), min_size=20, max_size=60),
+        k=st.integers(-300, 308),
+    )
+    @example(unit=[1.0 + 0.1 * (i % 7) for i in range(40)], k=155)
+    def test_any_scale_fits_or_fails_cleanly(self, unit, k):
+        # counts of every magnitude the float range holds: a fit forecasts
+        # finite values or raises FitError, and numpy never warns
+        s = make_series(np.array(unit) * 10.0**k)
+        try:
+            model = arima_fit(s)
+        except FitError:
+            return
+        assert np.all(np.isfinite(arima_forecast(model, 7)))
+
     def test_overflowing_sum_of_squares_fits_silently(self):
         # squared innovations of counts near 1e150 overflow while orders
-        # with an MA part are searched: those score 1e300, and numpy warns
+        # with an MA part are searched: those score inf, and numpy warns
         # of nothing
         s = make_series(1e150 * (1.0 + 0.1 * (np.arange(40) % 7)))
         model = arima_fit(s)
