@@ -245,7 +245,9 @@ def sir_fit(series: UnivariateSeries, population: float) -> SirFit:
         raise ValidationError(
             f"population must be a finite number, got {population!r}"
         )
-    cumulative = np.cumsum(series.values)
+    # an overflowed total of +inf fails the population check below
+    with np.errstate(over="ignore"):
+        cumulative = np.cumsum(series.values)
     if cumulative[-1] <= 0:
         raise ValidationError(f"{series.name}: no epidemic signal to fit")
     if population <= cumulative[-1]:

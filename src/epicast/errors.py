@@ -26,4 +26,4 @@ class FitError(EpicastError):
 
 
 class TrainingError(FitError):
-    """Network training produced a non-finite loss."""
+    """Network training produced a non-finite loss or gradient."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import UnivariateSeries
-from .errors import InsufficientDataError, ValidationError
+from .errors import DomainError, InsufficientDataError, ValidationError
 from .hybrid import fit_tagged_models, make_forecaster
 from .neural import TdnnConfig
 from .parallel import map_units
@@ -28,24 +28,41 @@ from .parallel import map_units
 RECENCY_DECAY = 0.9
 
 
-def _paired(actual, predicted):
+def _errors(actual, predicted) -> np.ndarray:
+    """``actual - predicted``; a non-finite error is a DomainError."""
     a = np.asarray(actual, dtype=float)
     p = np.asarray(predicted, dtype=float)
     if a.shape != p.shape or a.ndim != 1 or len(a) == 0:
         raise ValidationError(
             f"need equal-length nonempty vectors, got {a.shape} and {p.shape}"
         )
-    return a, p
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a - p
+    if not np.isfinite(d).all():
+        raise DomainError("forecast errors are not finite")
+    return d
+
+
+def _scale_free(stat, d: np.ndarray) -> float:
+    """``stat(d)`` for a statistic that scales with its input, as
+    ``s * stat(d / s)`` with ``s = max |d|`` where the plain form overflows:
+    squares or sums of errors near the float range leave it."""
+    with np.errstate(over="ignore"):
+        value = float(stat(d))
+    if math.isinf(value):
+        s = float(np.max(np.abs(d)))
+        value = s * float(stat(d / s))
+    return value
 
 
 def rmse(actual, predicted) -> float:
-    a, p = _paired(actual, predicted)
-    return float(np.sqrt(np.mean((a - p) ** 2)))
+    return _scale_free(lambda d: np.sqrt(np.mean(d ** 2)),
+                       _errors(actual, predicted))
 
 
 def mae(actual, predicted) -> float:
-    a, p = _paired(actual, predicted)
-    return float(np.mean(np.abs(a - p)))
+    return _scale_free(lambda d: np.mean(np.abs(d)),
+                       _errors(actual, predicted))
 
 
 @dataclass(frozen=True)
@@ -57,7 +74,7 @@ class WindowMetricRecord:
 
     @property
     def m(self) -> float:
-        return (self.rmse + self.mae) / 2.0
+        return self.rmse / 2.0 + self.mae / 2.0
 
 
 @dataclass(frozen=True)
@@ -96,14 +113,11 @@ def _score_origin(
     records = []
     for tag in models:
         forecast = fitted[tag].forecast(k)
-        records.append(
-            WindowMetricRecord(
-                origin=origin,
-                model=tag,
-                rmse=rmse(actual, forecast),
-                mae=mae(actual, forecast),
-            )
-        )
+        try:
+            scores = rmse(actual, forecast), mae(actual, forecast)
+        except DomainError as exc:
+            raise DomainError(f"origin {origin}, model {tag}: {exc}") from None
+        records.append(WindowMetricRecord(origin, tag, *scores))
     return tuple(records)
 
 

@@ -29,6 +29,9 @@ from .wavelet import WaveletMra, choose_levels, modwt_haar
 # hidden units or restarts: far past any use, and low enough that no weight
 # array's size overflows an index
 MAX_WIDTH = 10_000
+# the largest learning rate the float32 descent can apply: a larger one
+# overflows when numpy casts it to float32
+MAX_LEARNING_RATE = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,13 @@ class TdnnConfig:
         if max(self.hidden, self.repeats) > MAX_WIDTH:
             raise ValidationError(
                 f"hidden and repeats must be at most {MAX_WIDTH}")
-        if self.epochs < 1 or self.learning_rate <= 0:
-            raise ValidationError("epochs must be >= 1 and learning_rate > 0")
+        if self.epochs < 1:
+            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        # the descent applies the rate to float32 arrays
+        if not 0 < self.learning_rate <= MAX_LEARNING_RATE:
+            raise ValidationError(
+                f"learning_rate must lie in (0, {MAX_LEARNING_RATE:.7g}], "
+                f"got {self.learning_rate!r}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
@@ -92,6 +100,7 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
     Shapes: x (C, N, p), y (C, N); weights w1 (C, R, p, H), b1 (C, R, H),
     w2 (C, R, H), b2 (C, R). Each epoch steps every (component, restart)
     pair down the gradient of its mean squared error; a non-finite loss
+    (or, where every loss is finite, a non-finite gradient)
     raises :class:`TrainingError` naming the pair, the component by its
     entry in ``component_labels``. The readable form of
     that gradient is ``stacked_loss_and_grads`` in ``tests/oracles.py``;
@@ -106,25 +115,41 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
     call, numpy runs the short H axis innermost as tiny stride-0 loops, and
     that one call took a third of the epoch. The products are the same, so
     are the bits. The first layer is kept negated, so the matmul yields
-    ``-(x @ w1)`` directly for ``exp``. Negation is exact in float64, so
-    this too keeps the bits, up to the sign of a weight that is exactly 0.
+    ``-(x @ w1)`` directly for ``exp``.
+
+    The epoch loop runs in float32: at entry the inputs, targets and the
+    four weight arrays are cast to float32 and every buffer is float32.
+    The learning rate, ``2 / n`` and the added 1 stay Python floats: an
+    operation between a float32 array and a Python float stays float32
+    under numpy's value-based casting rules and under NEP 50 alike, with
+    the scalar rounded to float32 either way (``TdnnConfig`` caps the rate
+    at float32's max). That halves the bytes each elementwise pass moves, and numpy's float32 ``exp`` is vectorised. The inputs and
+    targets of :func:`wbann_problem` are scaled into [0, 1], well inside
+    float32's range. Negation is exact in float32 too (rounding to nearest
+    is symmetric in sign), so negating the first layer before or after the
+    cast gives the same bits, up to the sign of a weight that is exactly 0.
+    The trained weights are returned as float64 arrays, holding float32
+    values exactly; the forward pass, the forecasts and everything
+    downstream run in float64.
     """
+    f32 = np.float32
     lr = config.learning_rate
+    x = np.asarray(x, dtype=f32)
     c, n, p = x.shape
     r = weights["w1"].shape[1]
     h = weights["w1"].shape[-1]
-    x_aug = np.concatenate([x, np.ones((c, n, 1))], axis=2)[:, None]
+    x_aug = np.concatenate([x, np.ones((c, n, 1), dtype=f32)], axis=2)[:, None]
     x_aug_t = np.ascontiguousarray(x_aug[:, 0].transpose(0, 2, 1))[:, None]
     neg_w1 = -np.concatenate(
         [weights["w1"], weights["b1"][:, :, None, :]], axis=2
-    )
-    w2_col = np.ascontiguousarray(weights["w2"][..., None])
-    b2 = weights["b2"].copy()
-    y_col = y[:, None, :, None]
-    hidden = np.empty((c, r, n, h))
+    ).astype(f32)
+    w2_col = np.ascontiguousarray(weights["w2"][..., None], dtype=f32)
+    b2 = weights["b2"].astype(f32)
+    y_col = np.asarray(y, dtype=f32)[:, None, :, None]
+    hidden = np.empty((c, r, n, h), dtype=f32)
     sig_grad = np.empty_like(hidden)
     d_pre = np.empty_like(hidden)
-    pred = np.empty((c, r, n, 1))
+    pred = np.empty((c, r, n, 1), dtype=f32)
     err = pred[..., 0]
     d_w1_aug = np.empty_like(neg_w1)
     d_w2 = np.empty_like(w2_col)
@@ -132,9 +157,14 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
     def fail(epoch: int):
         with np.errstate(over="ignore", invalid="ignore"):
             losses = np.mean(pred[..., 0] ** 2, axis=-1)
-        comp, restart = np.argwhere(~np.isfinite(losses))[0]
+        what, bad = "loss", ~np.isfinite(losses)
+        if not bad.any():  # a float32 gradient can overflow before the loss
+            what = "gradient"
+            bad = ~(np.isfinite(d_w1_aug).all(axis=(2, 3))
+                    & np.isfinite(d_w2).all(axis=(2, 3)))
+        comp, restart = np.argwhere(bad)[0]
         raise TrainingError(
-            f"non-finite loss at epoch {epoch}, "
+            f"non-finite {what} at epoch {epoch}, "
             f"component {component_labels[comp]}, restart {restart}"
         )
 
@@ -161,10 +191,10 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
             neg_w1 += lr * d_w1_aug
             w2_col -= lr * d_w2
             b2 -= lr * d_b2
-    weights["w1"] = -neg_w1[:, :, :p, :]
-    weights["b1"] = -neg_w1[:, :, p, :]
-    weights["w2"] = w2_col[..., 0]
-    weights["b2"] = b2
+    weights["w1"] = (-neg_w1[:, :, :p, :]).astype(np.float64)
+    weights["b1"] = (-neg_w1[:, :, p, :]).astype(np.float64)
+    weights["w2"] = w2_col[..., 0].astype(np.float64)
+    weights["b2"] = b2.astype(np.float64)
     return weights
 
 

@@ -3,6 +3,7 @@ import csv
 import datetime
 import functools
 import io
+import math
 import os
 import re
 import subprocess
@@ -574,6 +575,44 @@ class TestFailureModes:
         assert done.returncode == 1
         assert done.stderr == (
             "error: series: ARIMA(0,0,0) sum of squares is not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values, flags", [
+        # the squared 4-day errors of three records overflow
+        (lambda india: 1e150 * india.values[80:140],
+         ["holt,arima(1,1,1),holt-wbann", "--epochs", 20, "--repeats", 2]),
+        # every record's squared errors overflow: no model could win
+        (lambda india: 1e151 * india.values[20:80], ["holt"]),
+        # the last origins' errors near 1.6e308 overflow the sums of mae and
+        # of m as well
+        (lambda india: np.repeat([1e307, 1.7e308], [36, 4]),
+         ["holt,arima", "--window", 8]),
+    ], ids=["three-tags", "holt-only", "sums"])
+    def test_monitor_errors_near_the_float_range_score_finite(
+            self, tmp_path, india, values, flags):
+        path = write_series_csv(tmp_path, make_series(values(india)))
+        out = tmp_path / "out"
+        done = self.run_in_fresh_process("monitor", "--input", path,
+                                         "--model", *flags, "--out", out)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        with open(out / "monitor.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
+        assert rows and all(math.isfinite(float(row[key])) for row in rows
+                            for key in ("rmse", "mae", "m"))
+
+    def test_overflowing_cumulative_count_exits_one_silently(self, tmp_path,
+                                                             india):
+        # the cumulative count of 60 days near 1e307 overflows
+        values = 1e303 * india.values[100:160]
+        path = write_series_csv(tmp_path, make_series(values))
+        out = tmp_path / "out"
+        done = self.run_in_fresh_process("r0", "--input", path,
+                                         "--population", "1e308",
+                                         "--out", out)
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: population must exceed the cumulative case count\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("model, lags", [("holt-wbann", 302),

@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from epicast.errors import InsufficientDataError, ValidationError
+from epicast.core import NegativeValueWarning
+from epicast.errors import DomainError, InsufficientDataError, ValidationError
 from epicast.evaluate import (
+    WindowMetricRecord,
     mae,
     monitor,
     rmse,
@@ -44,8 +46,43 @@ class TestMetrics:
         with pytest.raises(ValidationError):
             mae([], [])
 
+    def test_overflowing_squares_and_sums_stay_finite(self):
+        # the squares of 3e154 and the sum of two 1.5e308 leave float range;
+        # the max-scaled forms do not
+        assert rmse([3e154, 0.0], [0.0, 0.0]) == 3e154 * math.sqrt(0.5)
+        assert mae([1.5e308, 1.5e308], [0.0, 0.0]) == 1.5e308
+        record = WindowMetricRecord(origin=1, model="x", rmse=1.5e308,
+                                    mae=1.6e308)
+        assert record.m == 1.55e308
+
+    def test_plain_formula_where_finite(self):
+        d = np.array([1e150, -3e153, 2.5e152])
+        assert rmse(d, np.zeros(3)) == float(np.sqrt(np.mean(d ** 2)))
+        assert mae(d, np.zeros(3)) == float(np.mean(np.abs(d)))
+
+    @pytest.mark.parametrize("actual, predicted", [
+        ([1e308, 0.0], [-1e308, 0.0]),
+        ([1.0], [math.inf]),
+        ([math.nan], [1.0]),
+    ])
+    def test_non_finite_errors_refused(self, actual, predicted):
+        with pytest.raises(DomainError, match="not finite"):
+            rmse(actual, predicted)
+        with pytest.raises(DomainError, match="not finite"):
+            mae(actual, predicted)
+
 
 class TestMonitor:
+    def test_overflowing_errors_name_origin_and_model(self):
+        # the random walk forecasts 1.7e308 where -1.7e308 follows
+        values = np.full(12, 1.7e308)
+        values[6:] = -1.7e308
+        with pytest.warns(NegativeValueWarning):
+            s = make_series(values)
+        with pytest.raises(DomainError, match=r"^origin 7, model "
+                           r"arima\(0,1,0\): forecast errors are not finite$"):
+            monitor(s, ["arima(0,1,0)"], k=4, config=SEED_1)
+
     def test_single_model_dominates_fully(self):
         s = linear_series(40)
         report = monitor(s, ["holt"], k=4, config=SEED_1)
