@@ -26,4 +26,6 @@ class FitError(EpicastError):
 
 
 class TrainingError(FitError):
-    """Network training produced a non-finite loss or gradient."""
+    """Network training produced a non-finite gradient. The descent's error
+    carries the epoch it stopped at as ``epoch``, which pickling keeps, so
+    that the pieces of one stack trained apart can report the earliest."""

@@ -191,7 +191,6 @@ class ArimaModel:
     intercept: float
     sigma2: float
     fitted_values: np.ndarray = field(repr=False)
-    residual_values: np.ndarray = field(repr=False)
     w_tail: np.ndarray = field(repr=False)
     e_tail: np.ndarray = field(repr=False)
     diff_tails: np.ndarray = field(repr=False)
@@ -438,10 +437,7 @@ def arima_fit(
 
     n_eff = len(resid)
     fitted = np.full(n, np.nan)
-    offset = d + p
-    fitted[offset:] = y[offset:] - resid
-    residual_full = np.full(n, np.nan)
-    residual_full[offset:] = resid
+    fitted[d + p:] = y[d + p:] - resid
 
     diff_tails = np.empty(d)
     stage = y
@@ -456,7 +452,6 @@ def arima_fit(
         intercept=float(c),
         sigma2=float(sse / n_eff) if n_eff else 0.0,
         fitted_values=fitted,
-        residual_values=residual_full,
         w_tail=w[-max(len(phi), 1) :].copy() if len(w) else np.empty(0),
         e_tail=resid[-max(len(theta), 1) :].copy() if n_eff else np.empty(0),
         diff_tails=diff_tails,

@@ -201,9 +201,8 @@ def _train_residuals(problems) -> list:
     component) order, are cut into one contiguous share per worker.
 
     Returns each problem's trained weights, stacked as in the problem, or
-    ``None`` where one of its pieces diverged. The caller then trains that
-    problem whole, to stop at the epoch and name the (component, restart)
-    of a serial fit, which may sit in a piece that was still finite then.
+    the :class:`TrainingError` of its earliest-failing piece, the first
+    such piece on a tie: the error a whole-stack descent raises.
     """
     sizes = [problem.n_components for problem in problems]
     shares = contiguous_shares(sizes, worker_count(sum(sizes)))
@@ -213,19 +212,23 @@ def _train_residuals(problems) -> list:
         for series, start, stop in shares[index]:
             try:
                 trained.append(wbann_train(problems[series], start, stop))
-            except TrainingError:
-                trained.append(None)
+            except TrainingError as exc:
+                trained.append(exc)
         return trained
 
     pieces = [[] for _ in problems]
     for share, trained in zip(shares, map_units(train_share, len(shares))):
-        for (series, _, _), weights in zip(share, trained):
-            pieces[series].append(weights)
-    return [
-        None if any(w is None for w in parts)
-        else {key: np.concatenate([w[key] for w in parts]) for key in parts[0]}
-        for parts in pieces
-    ]
+        for (series, _, _), outcome in zip(share, trained):
+            pieces[series].append(outcome)
+
+    def merge(parts: list):
+        errors = [p for p in parts if isinstance(p, TrainingError)]
+        if errors:
+            return min(errors, key=lambda error: error.epoch)
+        return {key: np.concatenate([w[key] for w in parts])
+                for key in parts[0]}
+
+    return [merge(parts) for parts in pieces]
 
 
 def fit_panel(panel: HierarchicalPanel, tag: str,
@@ -242,7 +245,7 @@ def fit_panel(panel: HierarchicalPanel, tag: str,
     of series: one unit per series on :func:`map_units` fits the base and
     frames the residual problem (other tags finish there);
     :func:`_train_residuals` trains the networks; and this process
-    assembles each model.
+    assembles each model or raises its series' divergence error.
     """
     tag = make_forecaster(tag).tag  # a bad tag fails here, before any fit
     series = [panel.national, *panel.states]
@@ -256,10 +259,10 @@ def fit_panel(panel: HierarchicalPanel, tag: str,
                                base)
 
     def assemble(index: int, problem: _HybridProblem,
-                 trained: dict | None) -> HybridForecaster:
+                 trained: dict | TrainingError) -> HybridForecaster:
         with _phase("residual (wbann)"):
-            if trained is None:  # a piece diverged: train the stack whole
-                trained = wbann_train(problem.residual)
+            if isinstance(trained, TrainingError):
+                raise trained
             residual_model = wbann_model(problem.residual, trained)
         return make_forecaster(tag, config)._fitted_with(
             series[index], problem.base, problem.base_skip, residual_model)

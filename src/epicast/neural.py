@@ -99,10 +99,11 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
 
     Shapes: x (C, N, p), y (C, N); weights w1 (C, R, p, H), b1 (C, R, H),
     w2 (C, R, H), b2 (C, R). Each epoch steps every (component, restart)
-    pair down the gradient of its mean squared error; a non-finite loss
-    (or, where every loss is finite, a non-finite gradient)
-    raises :class:`TrainingError` naming the pair, the component by its
-    entry in ``component_labels``. The readable form of
+    pair down the gradient of its mean squared error. The first epoch with
+    a non-finite gradient stops the loop: its :class:`TrainingError` names
+    the first such pair in (component, restart) order, the component by
+    its entry in ``component_labels``, and carries the epoch as ``epoch``.
+    The readable form of
     that gradient is ``stacked_loss_and_grads`` in ``tests/oracles.py``;
     this loop does the same arithmetic reordered for speed: the
     hidden-layer bias rides as an extra input column so its gradient
@@ -155,18 +156,15 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
     d_w2 = np.empty_like(w2_col)
 
     def fail(epoch: int):
-        with np.errstate(over="ignore", invalid="ignore"):
-            losses = np.mean(pred[..., 0] ** 2, axis=-1)
-        what, bad = "loss", ~np.isfinite(losses)
-        if not bad.any():  # a float32 gradient can overflow before the loss
-            what = "gradient"
-            bad = ~(np.isfinite(d_w1_aug).all(axis=(2, 3))
-                    & np.isfinite(d_w2).all(axis=(2, 3)))
+        bad = ~(np.isfinite(d_w1_aug).all(axis=(2, 3))
+                & np.isfinite(d_w2).all(axis=(2, 3)))
         comp, restart = np.argwhere(bad)[0]
-        raise TrainingError(
-            f"non-finite {what} at epoch {epoch}, "
+        error = TrainingError(
+            f"non-finite gradient at epoch {epoch}, "
             f"component {component_labels[comp]}, restart {restart}"
         )
+        error.epoch = epoch
+        raise error
 
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):

@@ -22,6 +22,7 @@ from epicast.cli import build_parser, cmd_adjust, main
 from epicast.core import (
     HierarchicalPanel,
     NegativeValueWarning,
+    UnivariateSeries,
     fixture_path,
     load_india_panel,
     load_india_series,
@@ -645,14 +646,18 @@ class TestFailureModes:
 
 
 @functools.cache
-def short_input(command):
-    """The first 44 days of the command's fixture: the fewest on which every
-    origin of monitor fits a hybrid."""
+def short_input(command, scale=1.0):
+    """The first 44 days of the command's fixture, the fewest on which every
+    origin of monitor fits a hybrid, with every count times ``scale``."""
+    def short(series):
+        return UnivariateSeries(series.name, series.dates[:44],
+                                scale * series.values[:44])
+
     if command == "adjust":
         full = load_india_panel()
-        return HierarchicalPanel(full.national.prefix(44),
-                                 [s.prefix(44) for s in full.states])
-    return load_india_series().prefix(44)
+        return HierarchicalPanel(short(full.national),
+                                 [short(s) for s in full.states])
+    return short(load_india_series())
 
 
 # numbers of every size and sign; huge is 10**15 or more, which no machine
@@ -723,10 +728,12 @@ class TestArbitraryInput:
     @settings(max_examples=200, deadline=None)
     @given(command=st.sampled_from(sorted(COMMAND_FLAGS)), data=st.data())
     def test_any_flags_exit_zero_one_or_two(self, command, data):
-        # every command, with any subset of its flags set to numbers of any
-        # size or sign, non-finite values or malformed text: exit 0 or 1, or
-        # argparse's 2, with at most one "error:" line; any other exception
-        # fails the test
+        # every command, on counts of ordinary size or near the float range,
+        # with any subset of its flags set to numbers of any size or sign,
+        # non-finite values or malformed text: exit 0 or 1, or argparse's 2,
+        # with at most one "error:" line; any other exception, or a numpy
+        # warning, fails the test
+        scale = data.draw(st.sampled_from([1.0, 1e150, 1e290]), label="scale")
         flags = data.draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]),
                                    unique=True, max_size=3))
         # short defaults in place of 500 epochs; a drawn value comes later,
@@ -740,7 +747,7 @@ class TestArbitraryInput:
             argv.append("--svg")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "input.csv"
-            short_input(command).to_csv(path)
+            short_input(command, scale).to_csv(path)
             err = io.StringIO()
             with contextlib.redirect_stderr(err), \
                     contextlib.redirect_stdout(io.StringIO()):
@@ -749,7 +756,7 @@ class TestArbitraryInput:
                                 "--out", Path(tmp) / "out"])
                 except SystemExit as exc:
                     code = exc.code
-        event(f"{command} exit {code}")
+        event(f"{command} x{scale:g} exit {code}")
         assert code in (0, 1, 2), err.getvalue()
         assert err.getvalue().count("error:") <= 1, err.getvalue()
 

@@ -250,7 +250,7 @@ class TestArimaFit:
     def test_residual_count_invariant(self, india):
         model = arima_fit(india)
         p, d, _ = model.order
-        defined = np.isfinite(model.residual_values)
+        defined = np.isfinite(model.fitted_values)
         assert defined.sum() == len(india) - d - p
 
     @pytest.mark.parametrize("scale", [1e152, 1e153])
@@ -321,7 +321,6 @@ class TestArimaForecast:
             intercept=0.0,
             sigma2=1.0,
             fitted_values=np.empty(0),
-            residual_values=np.empty(0),
             w_tail=np.array([8.0]),
             e_tail=np.empty(0),
             diff_tails=np.empty(0),

@@ -16,14 +16,13 @@ from hypothesis import strategies as st
 
 import test_cli
 from epicast import cli, evaluate, forecasters, hybrid, parallel
-from epicast.core import load_india_series
+from epicast.core import HierarchicalPanel, UnivariateSeries, load_india_series
 from epicast.errors import EpicastError, FitError, TrainingError
 from epicast.neural import (
     TdnnConfig,
     WbannProblem,
     _descend,
     _init_weights,
-    wbann_train,
 )
 from epicast.parallel import map_units
 
@@ -273,13 +272,34 @@ class TestResidualShares:
                 _descend, problem.weights, problem.inputs, problem.targets,
                 config, list(range(problem.n_components)))
             event("diverged" if isinstance(want, str) else "trained")
-            if trained is None:  # the caller trains the whole stack again
-                with pytest.raises(TrainingError) as caught:
-                    wbann_train(problem)
-                assert str(caught.value) == want
+            if isinstance(trained, TrainingError):
+                assert str(trained) == want
             else:
                 assert {key: (w.shape, w.tobytes())
                         for key, w in trained.items()} == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("config", [
+        # every piece diverges at epoch 7: the first piece's error wins
+        TdnnConfig(repeats=3, epochs=40, learning_rate=3e2, seed=5),
+        # components 3-5 diverge at epoch 18, components 0-2 at epoch 21
+        TdnnConfig(repeats=3, epochs=40, learning_rate=30.0, seed=1),
+    ], ids=["tie", "second-share-first"])
+    def test_diverging_series_cut_across_workers(self, monkeypatch, india,
+                                                 config, workers):
+        # the state's Holt errors overflow, so it is left out before any
+        # network trains, and the national's six components alone are cut
+        # into one share per worker; on two, each piece's error and its
+        # epoch come back from a worker
+        huge = UnivariateSeries("huge", india.dates, 1e300 * india.values)
+        set_workers(monkeypatch, workers)
+        assert hybrid.worker_count(6) == workers
+        with pytest.raises(TrainingError) as serial:
+            hybrid.fit_tagged_models(india, ["holt-wbann"], config)
+        with pytest.raises(TrainingError) as paneled:
+            hybrid.fit_panel(HierarchicalPanel(india, [huge]), "holt-wbann",
+                             config)
+        assert str(paneled.value) == str(serial.value)
 
 
 class TestFailuresInWorkers:
