@@ -61,6 +61,9 @@ def _write(path: Path, kind: str, payload) -> None:
 
 def _svg_chart(series_by_name: dict, title: str) -> str:
     """Minimal multi-line SVG chart; data-only, no external services."""
+    # imported here: it loads urllib.request, some 7 MB and 20 ms
+    from xml.sax.saxutils import escape
+
     width, height, pad = CHART_WIDTH, CHART_HEIGHT, 40
     xs = [x for _, points in series_by_name.items() for x, _ in points]
     ys = [y for _, points in series_by_name.items() for _, y in points]
@@ -72,7 +75,7 @@ def _svg_chart(series_by_name: dict, title: str) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<title>{title}</title>',
+        f'<title>{escape(title)}</title>',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for idx, (name, points) in enumerate(series_by_name.items()):
@@ -88,7 +91,7 @@ def _svg_chart(series_by_name: dict, title: str) -> str:
         )
         parts.append(
             f'<text x="{pad}" y="{pad + 14 * idx}" font-size="12" '
-            f'fill="{colour}">{name}</text>'
+            f'fill="{colour}">{escape(name)}</text>'
         )
     parts.append("</svg>\n")
     return "\n".join(parts)

@@ -111,12 +111,19 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
     divergence check runs on the (small) gradient tensors. The epoch loop
     dominates the cost of every fit in this package.
 
-    The output-layer term ``err * w2`` is taken one hidden unit at a time,
-    as H products over (C, R, N) planes. Broadcast to (C, R, N, H) in one
-    call, numpy runs the short H axis innermost as tiny stride-0 loops, and
-    that one call took a third of the epoch. The products are the same, so
-    are the bits. The first layer is kept negated, so the matmul yields
-    ``-(x @ w1)`` directly for ``exp``.
+    Every per-epoch buffer has the samples innermost. The hidden layer,
+    its derivative and the pre-activation gradient are (C, R*H, N), viewed
+    as (C, R, H, N), and the errors are (C, R, 1, N). The first layer is
+    held as (C, R*H, p+1), negated, so one GEMM per component against the
+    (C, p+1, N) inputs yields ``-(x @ w1)`` directly for ``exp``, and the
+    input gradient is one GEMM per component against the (C, N, p+1)
+    inputs. The output layer and its gradient are batched products over
+    (C, R), and ``err * w2`` is one broadcast whose contiguous axis is N,
+    so it needs no loop over hidden units (with H innermost, numpy runs
+    that short axis as tiny stride-0 loops). ``exp``, ``reciprocal`` and
+    the sigmoid derivative run over contiguous memory. Every operand is
+    C-contiguous: with R = 1 a reshape can keep a transposed first layer,
+    and BLAS then sums in another order.
 
     The epoch loop runs in float32: at entry the inputs, targets and the
     four weight arrays are cast to float32 and every buffer is float32.
@@ -129,9 +136,9 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
     float32's range. Negation is exact in float32 too (rounding to nearest
     is symmetric in sign), so negating the first layer before or after the
     cast gives the same bits, up to the sign of a weight that is exactly 0.
-    The trained weights are returned as float64 arrays, holding float32
-    values exactly; the forward pass, the forecasts and everything
-    downstream run in float64.
+    The trained weights are returned as C-contiguous float64 arrays,
+    holding float32 values exactly; the forward pass, the forecasts and
+    everything downstream run in float64.
     """
     f32 = np.float32
     lr = config.learning_rate
@@ -139,24 +146,25 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
     c, n, p = x.shape
     r = weights["w1"].shape[1]
     h = weights["w1"].shape[-1]
-    x_aug = np.concatenate([x, np.ones((c, n, 1), dtype=f32)], axis=2)[:, None]
-    x_aug_t = np.ascontiguousarray(x_aug[:, 0].transpose(0, 2, 1))[:, None]
-    neg_w1 = -np.concatenate(
+    x_aug = np.concatenate([x, np.ones((c, n, 1), dtype=f32)], axis=2)
+    x_aug_t = np.ascontiguousarray(x_aug.transpose(0, 2, 1))
+    neg_w1t = -np.concatenate(
         [weights["w1"], weights["b1"][:, :, None, :]], axis=2
-    ).astype(f32)
+    ).transpose(0, 1, 3, 2).reshape(c, r * h, p + 1).astype(f32, order="C")
     w2_col = np.ascontiguousarray(weights["w2"][..., None], dtype=f32)
-    b2 = weights["b2"].astype(f32)
-    y_col = np.asarray(y, dtype=f32)[:, None, :, None]
-    hidden = np.empty((c, r, n, h), dtype=f32)
+    b2 = weights["b2"].astype(f32)[..., None, None]
+    y_row = np.asarray(y, dtype=f32)[:, None, None, :]
+    hidden = np.empty((c, r * h, n), dtype=f32)
     sig_grad = np.empty_like(hidden)
     d_pre = np.empty_like(hidden)
-    pred = np.empty((c, r, n, 1), dtype=f32)
-    err = pred[..., 0]
-    d_w1_aug = np.empty_like(neg_w1)
+    hidden_4 = hidden.reshape(c, r, h, n)
+    d_pre_4 = d_pre.reshape(c, r, h, n)
+    err = np.empty((c, r, 1, n), dtype=f32)
+    d_w1t = np.empty_like(neg_w1t)
     d_w2 = np.empty_like(w2_col)
 
     def fail(epoch: int):
-        bad = ~(np.isfinite(d_w1_aug).all(axis=(2, 3))
+        bad = ~(np.isfinite(d_w1t.reshape(c, r, -1)).all(axis=2)
                 & np.isfinite(d_w2).all(axis=(2, 3)))
         comp, restart = np.argwhere(bad)[0]
         error = TrainingError(
@@ -168,31 +176,31 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
 
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            np.matmul(x_aug, neg_w1, out=hidden)
+            np.matmul(neg_w1t, x_aug_t, out=hidden)
             np.exp(hidden, out=hidden)
             hidden += 1.0
             np.reciprocal(hidden, out=hidden)
-            np.matmul(hidden, w2_col, out=pred)
-            pred += b2[..., None, None]
-            pred -= y_col                # pred now holds the errors
-            pred *= 2.0 / n              # ... and now d(loss)/d(prediction)
-            np.matmul(hidden.transpose(0, 1, 3, 2), pred, out=d_w2)
-            d_b2 = err.sum(axis=-1)
+            np.matmul(w2_col.transpose(0, 1, 3, 2), hidden_4, out=err)
+            err += b2
+            err -= y_row
+            err *= 2.0 / n               # d(loss)/d(prediction)
+            np.matmul(hidden_4, err.transpose(0, 1, 3, 2), out=d_w2)
+            d_b2 = err.sum(axis=-1, keepdims=True)
             np.multiply(hidden, hidden, out=sig_grad)
             np.subtract(hidden, sig_grad, out=sig_grad)
-            for j in range(h):
-                np.multiply(err, w2_col[:, :, j], out=d_pre[..., j])
+            np.multiply(err, w2_col, out=d_pre_4)
             d_pre *= sig_grad
-            np.matmul(x_aug_t, d_pre, out=d_w1_aug)
-            if not (np.isfinite(d_w1_aug).all() and np.isfinite(d_w2).all()):
+            np.matmul(d_pre, x_aug, out=d_w1t)
+            if not (np.isfinite(d_w1t).all() and np.isfinite(d_w2).all()):
                 fail(epoch)
-            neg_w1 += lr * d_w1_aug
+            neg_w1t += lr * d_w1t
             w2_col -= lr * d_w2
             b2 -= lr * d_b2
-    weights["w1"] = (-neg_w1[:, :, :p, :]).astype(np.float64)
-    weights["b1"] = (-neg_w1[:, :, p, :]).astype(np.float64)
+    w1_aug = (-neg_w1t).reshape(c, r, h, p + 1).transpose(0, 1, 3, 2)
+    weights["w1"] = w1_aug[:, :, :p, :].astype(np.float64, order="C")
+    weights["b1"] = w1_aug[:, :, p, :].astype(np.float64, order="C")
     weights["w2"] = w2_col[..., 0].astype(np.float64)
-    weights["b2"] = b2.astype(np.float64)
+    weights["b2"] = b2[..., 0, 0].astype(np.float64)
     return weights
 
 

@@ -12,6 +12,7 @@ import tempfile
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ class TestForecastCommand:
                     "--out", out, "--svg"]) == 0
         text = (out / "forecast.svg").read_text()
         assert text.startswith("<svg") and "polyline" in text
+
+    def test_svg_well_formed_for_markup_in_the_name(self, tmp_path):
+        # the series name, the file's stem, is text inside the chart
+        path = write_series_csv(tmp_path, linear_series(40), "a&b<c.csv")
+        out = tmp_path / "out"
+        assert run(["forecast", "--input", path, "--model", "holt",
+                    "--out", out, "--svg"]) == 0
+        assert run(["monitor", "--input", path, "--model", "holt",
+                    "--out", out, "--svg"]) == 0
+        title = ElementTree.parse(out / "forecast.svg").find(
+            "{http://www.w3.org/2000/svg}title")
+        assert title.text == "holt forecast for a&b<c"
+        ElementTree.parse(out / "monitor.svg")
 
     def test_rerun_removes_stale_svg(self, tmp_path):
         path = write_series_csv(tmp_path, linear_series(40))

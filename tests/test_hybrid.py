@@ -191,6 +191,20 @@ class TestFitPanel:
             national, states = fit_panel(panel, tag, config)
             assert [outputs(m) for m in (national, *states)] == want
 
+    def test_hybrid_weights_contiguous_on_both_paths(self, panel):
+        # fit_panel concatenates trained pieces into C-contiguous copies,
+        # while fit_tagged_models forwards the descent's own arrays: the
+        # float64 forward pass gives the same bits only if those are
+        # C-contiguous too
+        config = TdnnConfig(epochs=30, seed=4)
+        alone = fit_tagged_models(panel.national, ["holt-wbann"],
+                                  config)["holt-wbann"]
+        national, _ = fit_panel(panel, "holt-wbann", config)
+        for model in (alone, national):
+            for key, w in model.residual_model.weights.items():
+                assert w.dtype == np.float64 and w.flags.c_contiguous, key
+        assert national.fitted().tobytes() == alone.fitted().tobytes()
+
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
