@@ -29,7 +29,7 @@ from . import epi
 from .core import parse_panel_csv, parse_series_csv
 from .errors import EpicastError, ValidationError
 from .evaluate import monitor, shelf_life
-from .forecasters import check_horizon
+from .forecasters import MAX_ARMA_ORDER, MAX_DIFF, check_horizon
 from .hybrid import MODEL_TAGS, fit_panel, fit_tagged_models
 from .neural import TdnnConfig
 
@@ -39,7 +39,8 @@ DEFAULT_MODEL = "holt-wbann"
 DEFAULT_POPULATION = 1.38e9
 CHART_WIDTH, CHART_HEIGHT = 720, 360  # SVG chart size, in pixels
 TAG_GRAMMAR = (f"{', '.join(MODEL_TAGS)} or arima(p,d,q) with p and q from 0 "
-               "to 5 and d from 0 to 2, ignoring case and surrounding blanks")
+               f"to {MAX_ARMA_ORDER} and d from 0 to {MAX_DIFF}, ignoring case "
+               "and surrounding blanks")
 
 
 def _fmt(x) -> str:

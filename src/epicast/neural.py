@@ -9,10 +9,10 @@ Multi-step forecasts are recursive: each prediction is appended to the lag
 window.
 
 The component networks of the wavelet ensemble share one architecture, so
-their training steps are evaluated as a stacked tensor, of all components
-or of a contiguous piece of them; component k still draws its weights from
-its own generator seeded ``seed + k``, making the components independently
-reproducible.
+they are framed, trained, fitted and forecast as stacked (C, ...) arrays;
+training may also take a contiguous piece of the components. Component k
+still draws its weights from its own generator seeded ``seed + k``, making
+the components independently reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, TrainingError, ValidationError
 from .forecasters import check_horizon
-from .wavelet import WaveletMra, choose_levels, modwt_haar
+from .wavelet import choose_levels, modwt_haar
 
 
 # hidden units or restarts: far past any use, and low enough that no weight
@@ -64,13 +64,14 @@ class TdnnConfig:
 
 
 def make_lag_matrix(series, p: int):
-    """Supervised framing: row i is (x_i, ..., x_{i+p-1}), target x_{i+p}."""
+    """Supervised framing along the last axis: row i is (x_i, ..., x_{i+p-1}),
+    target x_{i+p}. A (C, n) input frames each of its C series."""
     x = np.asarray(series, dtype=float)
-    n = len(x)
+    n = x.shape[-1]
     if n <= p:
         raise InsufficientDataError(f"need more than {p} points, got {n}")
-    inputs = np.stack([x[i : n - p + i] for i in range(p)], axis=1)
-    return inputs, x[p:]
+    inputs = np.stack([x[..., i : n - p + i] for i in range(p)], axis=-1)
+    return inputs, x[..., p:]
 
 
 def _sigmoid(a):
@@ -88,9 +89,11 @@ def _init_weights(rng: np.random.Generator, r: int, p: int, h: int) -> dict:
 
 
 def _forward(weights: dict, x: np.ndarray) -> np.ndarray:
-    """Per-restart predictions for (R, ...) weights, shape (R, samples)."""
-    hidden = _sigmoid(x @ weights["w1"] + weights["b1"][:, None, :])
-    return (hidden @ weights["w2"][:, :, None])[:, :, 0] + weights["b2"][:, None]
+    """Per-restart predictions: (R, ...) weights on (N, p) inputs give
+    (R, N); stacked (C, R, ...) weights on (C, N, p) inputs give (C, R, N)."""
+    x = x[..., None, :, :]  # a restart axis, broadcast
+    hidden = _sigmoid(x @ weights["w1"] + weights["b1"][..., None, :])
+    return (hidden @ weights["w2"][..., None])[..., 0] + weights["b2"][..., None]
 
 
 def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
@@ -204,20 +207,25 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
     return weights
 
 
-def _minmax(values: np.ndarray) -> tuple[float, float]:
-    return float(values.min()), float(values.max())
+def _per_component(bound: np.ndarray, ndim: int) -> np.ndarray:
+    """(C,) bounds as (C, 1, ...), to broadcast against (C, ...) values."""
+    return np.reshape(bound, (-1,) + (1,) * (ndim - 1))
 
 
-def _scale_with(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    if hi == lo:
-        return np.zeros_like(values)
-    return (values - lo) / (hi - lo)
+def _scale_with(values: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> np.ndarray:
+    """Min-max scale each component's values to its (lo, hi); a component
+    with an empty range scales to 0."""
+    lo, hi = _per_component(lo, values.ndim), _per_component(hi, values.ndim)
+    live = np.broadcast_to(hi != lo, values.shape)
+    out = np.subtract(values, lo, out=np.zeros_like(values), where=live)
+    return np.divide(out, hi - lo, out=out, where=live)
 
 
-def _unscale_with(z: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    if hi == lo:
-        return np.full_like(z, lo)
-    return lo + z * (hi - lo)
+def _unscale_with(z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Invert :func:`_scale_with`: a component with an empty range is its lo."""
+    lo, hi = _per_component(lo, z.ndim), _per_component(hi, z.ndim)
+    return np.where(hi == lo, lo, lo + z * (hi - lo))
 
 
 @dataclass
@@ -227,7 +235,7 @@ class WbannModel:
 
     config: TdnnConfig
     levels: int
-    scales: list = field(repr=False)  # (lo, hi) target range per component
+    scales: np.ndarray = field(repr=False)  # (C, 2) target (lo, hi)
     weights: dict = field(repr=False)  # trained w1, b1, w2, b2 as (C, R, ...)
     tails: np.ndarray = field(repr=False)  # (C, lags) last values
     fitted_values: np.ndarray = field(repr=False)
@@ -236,13 +244,14 @@ class WbannModel:
 @dataclass
 class WbannProblem:
     """The stacked training problem of one residual series: its wavelet
-    components as scaled lag inputs and targets, and every component's
-    initial weights, component k's drawn from a generator seeded
-    ``config.seed + k``. Arrays are stacked on a leading component axis."""
+    components as scaled lag inputs and targets, with their last ``lags``
+    values, and every component's initial weights, component k's drawn from
+    a generator seeded ``config.seed + k``. Arrays are stacked on a leading
+    component axis."""
 
     config: TdnnConfig
-    mra: WaveletMra = field(repr=False)
-    scales: list = field(repr=False)  # (lo, hi) target range per component
+    scales: np.ndarray = field(repr=False)  # (C, 2) target (lo, hi)
+    tails: np.ndarray = field(repr=False)  # (C, lags) last values
     inputs: np.ndarray = field(repr=False)  # (C, N, lags)
     targets: np.ndarray = field(repr=False)  # (C, N)
     weights: dict = field(repr=False)  # initial w1, b1, w2, b2 as (C, R, ...)
@@ -262,16 +271,9 @@ def wbann_problem(residuals, config: TdnnConfig) -> WbannProblem:
         raise InsufficientDataError(
             f"need more than lags = {config.lags} residuals, got {n}"
         )
-    mra = modwt_haar(e, choose_levels(n))
-    components = mra.components
-
-    scales = [_minmax(component[config.lags :]) for component in components]
-    stacked_in = []
-    stacked_tg = []
-    for component, (lo, hi) in zip(components, scales):
-        inputs, targets = make_lag_matrix(component, config.lags)
-        stacked_in.append(_scale_with(inputs, lo, hi))
-        stacked_tg.append(_scale_with(targets, lo, hi))
+    components = np.stack(modwt_haar(e, choose_levels(n)).components)
+    inputs, targets = make_lag_matrix(components, config.lags)
+    lo, hi = targets.min(axis=1), targets.max(axis=1)
     inits = [
         _init_weights(
             np.random.default_rng(config.seed + k),
@@ -283,10 +285,10 @@ def wbann_problem(residuals, config: TdnnConfig) -> WbannProblem:
     ]
     return WbannProblem(
         config=config,
-        mra=mra,
-        scales=scales,
-        inputs=np.stack(stacked_in),
-        targets=np.stack(stacked_tg),
+        scales=np.stack([lo, hi], axis=1),
+        tails=components[:, -config.lags :].copy(),
+        inputs=_scale_with(inputs, lo, hi),
+        targets=_scale_with(targets, lo, hi),
         weights={key: np.stack([w[key] for w in inits]) for key in inits[0]},
     )
 
@@ -317,20 +319,16 @@ def wbann_model(problem: WbannProblem, trained: dict) -> WbannModel:
     the problem, with its in-sample fit: the sum of the component fits,
     NaN on the first ``lags`` positions."""
     lags = problem.config.lags
-    fitted_components = []
-    for k, (lo, hi) in enumerate(problem.scales):
-        weights = {key: w[k] for key, w in trained.items()}
-        z = _forward(weights, problem.inputs[k]).mean(axis=0)
-        fit = np.full(lags + len(z), np.nan)
-        fit[lags:] = _unscale_with(z, lo, hi)
-        fitted_components.append(fit)
+    z = _forward(trained, problem.inputs).mean(axis=1)
+    fitted = np.full(lags + z.shape[1], np.nan)
+    fitted[lags:] = _unscale_with(z, *problem.scales.T).sum(axis=0)
     return WbannModel(
         config=problem.config,
-        levels=problem.mra.levels,
+        levels=problem.n_components - 1,
         scales=problem.scales,
         weights=trained,
-        tails=np.stack([c[-lags:] for c in problem.mra.components]),
-        fitted_values=np.sum(fitted_components, axis=0),
+        tails=problem.tails,
+        fitted_values=fitted,
     )
 
 
@@ -344,29 +342,20 @@ def wbann_fit(residuals, config: TdnnConfig) -> WbannModel:
     return wbann_model(problem, wbann_train(problem))
 
 
-def _component_forecast(weights: dict, scale: tuple[float, float],
-                        tail: np.ndarray, h: int) -> np.ndarray:
-    """Recursive h-step forecast of one component's restarts, (R, ...)
-    weights, from its last ``lags`` values: each scaled prediction is
-    appended to the lag window."""
-    lo, hi = scale
-    p = len(tail)
-    window = list(_scale_with(tail, lo, hi))
-    scaled_out = np.empty(h)
-    for i in range(h):
-        x = np.asarray(window[-p:], dtype=float)[None, :]
-        scaled_out[i] = float(_forward(weights, x).mean())
-        window.append(scaled_out[i])
-    return _unscale_with(scaled_out, lo, hi)
-
-
 def wbann_forecast(model: WbannModel, h: int) -> np.ndarray:
     """Sum of the per-component recursive forecasts (the decomposition is
-    additive, so component forecasts add back to a series forecast)."""
+    additive, so component forecasts add back to a series forecast).
+
+    Every component's scaled lag window runs forward at once; each step
+    appends the average of its restarts to the window."""
     check_horizon(h)
-    parts = [
-        _component_forecast({key: w[k] for key, w in model.weights.items()},
-                            scale, tail, h)
-        for k, (scale, tail) in enumerate(zip(model.scales, model.tails))
-    ]
-    return np.sum(parts, axis=0)
+    lags = model.config.lags
+    lo, hi = model.scales.T
+    window = np.empty((len(lo), lags + h))
+    window[:, :lags] = _scale_with(model.tails, lo, hi)
+    for i in range(h):
+        x = window[:, None, i : i + lags]
+        # the restarts lie on a contiguous axis, which numpy sums pairwise
+        # past 8 of them; the in-sample fit sums them in order
+        window[:, lags + i] = _forward(model.weights, x)[..., 0].mean(axis=1)
+    return _unscale_with(window[:, lags:], lo, hi).sum(axis=0)

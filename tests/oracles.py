@@ -3,7 +3,7 @@ against. Nothing in ``src/epicast`` calls them."""
 
 import numpy as np
 
-from epicast.neural import _forward, _sigmoid
+from epicast.neural import _sigmoid
 from epicast.wavelet import choose_levels, modwt_haar
 
 
@@ -40,6 +40,13 @@ def loss_and_grads(weights: dict, x: np.ndarray, y: np.ndarray):
     return losses[0], {key: grads[key][0] for key in grads}
 
 
+def _net_forward(net: dict, x: np.ndarray) -> np.ndarray:
+    """Per-restart predictions of one component's (R, ...) weights on its
+    (N, p) lag rows, shape (R, N)."""
+    hidden = _sigmoid(x @ net["w1"] + net["b1"][:, None, :])
+    return (hidden @ net["w2"][:, :, None])[:, :, 0] + net["b2"][:, None]
+
+
 def wbann_reference(residuals, weights: dict, lags: int, h: int):
     """In-sample fit and recursive h-step forecast of the wavelet ensemble
     with trained ``weights`` stacked as (C, R, ...), one component at a
@@ -68,14 +75,14 @@ def wbann_reference(residuals, weights: dict, lags: int, h: int):
             return np.full_like(z, lo) if hi == lo else lo + z * (hi - lo)
 
         fit = np.full(len(component), np.nan)
-        fit[lags:] = unscale(_forward(net, scale(rows)).mean(axis=0))
+        fit[lags:] = unscale(_net_forward(net, scale(rows)).mean(axis=0))
         fits.append(fit)
 
         window = list(scale(component[-lags:]))
         scaled = []
         for _ in range(h):
             x = np.array(window[-lags:])[None, :]
-            scaled.append(float(_forward(net, x).mean()))
+            scaled.append(float(_net_forward(net, x).mean()))
             window.append(scaled[-1])
         forecasts.append(unscale(np.array(scaled)))
     return np.sum(fits, axis=0), np.sum(forecasts, axis=0)

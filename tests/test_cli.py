@@ -674,6 +674,18 @@ def short_input(command, scale=1.0):
     return short(load_india_series())
 
 
+@functools.cache
+def max_scale_exponent():
+    """The largest e for which 10**e times every count of every command's
+    short input is finite."""
+    panel = short_input("adjust")
+    peak = max(float(np.max(np.abs(s.values)))
+               for s in (short_input("forecast"), panel.national, *panel.states))
+    e = int(np.log10(np.finfo(float).max / peak))
+    assert np.isfinite(10.0**e * peak)
+    return e
+
+
 # numbers of every size and sign; huge is 10**15 or more, which no machine
 # allocates, so even an unchecked size fails at once instead of filling memory
 INTEGERS = st.sampled_from(["0", "-1", "1", "2", "3", "7", str(10**15),
@@ -747,7 +759,9 @@ class TestArbitraryInput:
         # non-finite values or malformed text: exit 0 or 1, or argparse's 2,
         # with at most one "error:" line; any other exception, or a numpy
         # warning, fails the test
-        scale = data.draw(st.sampled_from([1.0, 1e150, 1e290]), label="scale")
+        exponent = data.draw(st.integers(0, max_scale_exponent()),
+                             label="scale exponent")
+        scale = 10.0**exponent
         flags = data.draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]),
                                    unique=True, max_size=3))
         # short defaults in place of 500 epochs; a drawn value comes later,

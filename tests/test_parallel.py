@@ -257,7 +257,7 @@ class TestResidualShares:
             inits = [_init_weights(np.random.default_rng(data_seed + k),
                                    r, p, h) for k in range(c)]
             problems.append(WbannProblem(
-                config=config, mra=None, scales=None,
+                config=config, scales=None, tails=None,
                 inputs=scale * rng.normal(size=(c, n, p)),
                 targets=scale * rng.normal(size=(c, n)),
                 weights={key: np.stack([w[key] for w in inits])
