@@ -134,9 +134,13 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
     operation between a float32 array and a Python float stays float32
     under numpy's value-based casting rules and under NEP 50 alike, with
     the scalar rounded to float32 either way (``TdnnConfig`` caps the rate
-    at float32's max). That halves the bytes each elementwise pass moves, and numpy's float32 ``exp`` is vectorised. The inputs and
-    targets of :func:`wbann_problem` are scaled into [0, 1], well inside
-    float32's range. Negation is exact in float32 too (rounding to nearest
+    at float32's max). That halves the bytes each elementwise pass moves,
+    and numpy's float32 ``exp`` is vectorised. The targets of
+    :func:`wbann_problem` are scaled into [0, 1]. Its inputs share their
+    component's target range, so an input before the first target can lie
+    far outside [0, 1]; one past float32's range casts to inf, and the first
+    epoch's gradient is then non-finite, which stops the loop as above.
+    Negation is exact in float32 too (rounding to nearest
     is symmetric in sign), so negating the first layer before or after the
     cast gives the same bits, up to the sign of a weight that is exactly 0.
     The trained weights are returned as C-contiguous float64 arrays,
@@ -145,7 +149,8 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
     """
     f32 = np.float32
     lr = config.learning_rate
-    x = np.asarray(x, dtype=f32)
+    with np.errstate(over="ignore"):  # past float32's range: inf, see above
+        x = np.asarray(x, dtype=f32)
     c, n, p = x.shape
     r = weights["w1"].shape[1]
     h = weights["w1"].shape[-1]

@@ -439,6 +439,18 @@ class TestWbann:
         assert len(model.scales) == c
         assert model.tails.shape == (c, model.config.lags)
 
+    def test_input_past_float32_range_diverges_at_epoch_0(self):
+        # the first detail's targets span ~1e-46, so its first inputs scale
+        # to ~1e45: inf in float32, reported by the divergence rule without
+        # an overflow warning from the cast
+        residuals = np.zeros(16)
+        residuals[:2] = 7.53257095e-46, 1.0
+        config = TdnnConfig(lags=3, hidden=1, repeats=1, epochs=1, seed=0)
+        assert np.abs(wbann_problem(residuals, config).inputs[0]).max() > 1e45
+        with pytest.raises(TrainingError, match="component 0, restart 0") as e:
+            wbann_fit(residuals, config)
+        assert e.value.epoch == 0
+
     def test_slow_sinusoid_dominated_by_smooth(self):
         t = np.arange(256)
         model = wbann_fit(10.0 * np.sin(2 * np.pi * t / 256.0), FAST)
