@@ -458,6 +458,9 @@ def main(argv=None) -> int:
     except (EpicastError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # forked workers ignore SIGINT: one report
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -15,7 +15,11 @@ from __future__ import annotations
 
 import abc
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,11 +224,21 @@ def _lag_matrix(w: np.ndarray, p: int, burn: int) -> np.ndarray:
 _FILTER_NUMERATOR = np.ones(1)
 
 
+_KERNEL_MODULE = "scipy.signal._sigtools"
+
+
 @functools.cache
 def _linear_filter():
-    """scipy's linear-filter kernel, imported on first use: importing
-    ``scipy.signal`` takes about a second, and only ARIMA fits with an MA
-    part need it. :class:`ArimaForecaster` loads it when built.
+    """scipy's linear-filter kernel, loaded on first use. Only ARIMA fits
+    with an MA part need it, and :class:`ArimaForecaster` loads it when
+    built.
+
+    The kernel's extension module is loaded alone, from scipy's
+    ``signal`` directory, and registered under its own name: importing
+    ``scipy.signal`` to reach it took over a second and about 75 MB. A
+    ``scipy.signal`` imported earlier has loaded it already, and one
+    imported later finds it registered; either way a process holds one
+    copy.
 
     For a float64 ``a = [1, theta...]`` with ``len(a) > 1``,
     ``kernel(_FILTER_NUMERATOR, a, u, -1)`` is ``signal.lfilter([1.0], a, u)``
@@ -233,9 +247,16 @@ def _linear_filter():
     times, and the wrapper's checks and array-API dispatch took longer than
     the filter itself.
     """
-    from scipy.signal import _sigtools
-
-    return _sigtools._linear_filter
+    module = sys.modules.get(_KERNEL_MODULE)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        where = [os.path.join(path, "signal")
+                 for path in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(_KERNEL_MODULE, where)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_KERNEL_MODULE] = module
+    return module._linear_filter
 
 
 def _ols(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:

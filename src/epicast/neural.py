@@ -114,19 +114,26 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
     divergence check runs on the (small) gradient tensors. The epoch loop
     dominates the cost of every fit in this package.
 
-    Every per-epoch buffer has the samples innermost. The hidden layer,
-    its derivative and the pre-activation gradient are (C, R*H, N), viewed
-    as (C, R, H, N), and the errors are (C, R, 1, N). The first layer is
-    held as (C, R*H, p+1), negated, so one GEMM per component against the
-    (C, p+1, N) inputs yields ``-(x @ w1)`` directly for ``exp``, and the
-    input gradient is one GEMM per component against the (C, N, p+1)
-    inputs. The output layer and its gradient are batched products over
-    (C, R), and ``err * w2`` is one broadcast whose contiguous axis is N,
-    so it needs no loop over hidden units (with H innermost, numpy runs
-    that short axis as tiny stride-0 loops). ``exp``, ``reciprocal`` and
-    the sigmoid derivative run over contiguous memory. Every operand is
-    C-contiguous: with R = 1 a reshape can keep a transposed first layer,
-    and BLAS then sums in another order.
+    Every per-epoch buffer has the samples innermost. The hidden layer and
+    its derivative are (C, R*H, N), viewed as (C, R, H, N), and the errors
+    are (C, R, 1, N). The first layer is held as (C, R*H, p+1), negated,
+    so one GEMM per component against the (C, p+1, N) inputs yields
+    ``-(x @ w1)`` directly for ``exp``. The output layer and its gradient
+    are batched products over (C, R). The first layer's gradient is
+    ``((err * w2) * sig_grad) @ x``, but ``w2`` does not vary over the
+    samples, so it is applied last: the derivative is multiplied in place
+    by the errors, one broadcast over H whose contiguous axis is N (with H
+    innermost, numpy runs that short axis as tiny stride-0 loops); one
+    GEMM per component against the (C, N, p+1) inputs sums it over the
+    samples; and only the small (C, R, H, p+1) result is scaled by ``w2``,
+    before ``w2`` takes its own step. That is one full pass and one full
+    buffer fewer per epoch than scaling the errors by ``w2`` first.
+    ``exp``, the reciprocal and the sigmoid derivative run over contiguous
+    memory. The reciprocal is ``np.divide(1.0, ...)`` and the square
+    ``np.square``: both round exactly as ``np.reciprocal`` and ``h * h``
+    do, and numpy's float32 loops for them are the faster ones. Every
+    operand is C-contiguous: with R = 1 a reshape can keep a transposed
+    first layer, and BLAS then sums in another order.
 
     The epoch loop runs in float32: at entry the inputs, targets and the
     four weight arrays are cast to float32 and every buffer is float32.
@@ -160,19 +167,21 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
         [weights["w1"], weights["b1"][:, :, None, :]], axis=2
     ).transpose(0, 1, 3, 2).reshape(c, r * h, p + 1).astype(f32, order="C")
     w2_col = np.ascontiguousarray(weights["w2"][..., None], dtype=f32)
+    w2_row = w2_col.transpose(0, 1, 3, 2)
     b2 = weights["b2"].astype(f32)[..., None, None]
     y_row = np.asarray(y, dtype=f32)[:, None, None, :]
     hidden = np.empty((c, r * h, n), dtype=f32)
     sig_grad = np.empty_like(hidden)
-    d_pre = np.empty_like(hidden)
     hidden_4 = hidden.reshape(c, r, h, n)
-    d_pre_4 = d_pre.reshape(c, r, h, n)
+    sig_grad_4 = sig_grad.reshape(c, r, h, n)
     err = np.empty((c, r, 1, n), dtype=f32)
+    err_t = err.transpose(0, 1, 3, 2)
     d_w1t = np.empty_like(neg_w1t)
+    d_w1t_4 = d_w1t.reshape(c, r, h, p + 1)
     d_w2 = np.empty_like(w2_col)
 
     def fail(epoch: int):
-        bad = ~(np.isfinite(d_w1t.reshape(c, r, -1)).all(axis=2)
+        bad = ~(np.isfinite(d_w1t_4).all(axis=(2, 3))
                 & np.isfinite(d_w2).all(axis=(2, 3)))
         comp, restart = np.argwhere(bad)[0]
         error = TrainingError(
@@ -187,18 +196,18 @@ def _descend(weights: dict, x: np.ndarray, y: np.ndarray, config: TdnnConfig,
             np.matmul(neg_w1t, x_aug_t, out=hidden)
             np.exp(hidden, out=hidden)
             hidden += 1.0
-            np.reciprocal(hidden, out=hidden)
-            np.matmul(w2_col.transpose(0, 1, 3, 2), hidden_4, out=err)
+            np.divide(1.0, hidden, out=hidden)
+            np.matmul(w2_row, hidden_4, out=err)
             err += b2
             err -= y_row
             err *= 2.0 / n               # d(loss)/d(prediction)
-            np.matmul(hidden_4, err.transpose(0, 1, 3, 2), out=d_w2)
+            np.matmul(hidden_4, err_t, out=d_w2)
             d_b2 = err.sum(axis=-1, keepdims=True)
-            np.multiply(hidden, hidden, out=sig_grad)
+            np.square(hidden, out=sig_grad)
             np.subtract(hidden, sig_grad, out=sig_grad)
-            np.multiply(err, w2_col, out=d_pre_4)
-            d_pre *= sig_grad
-            np.matmul(d_pre, x_aug, out=d_w1t)
+            sig_grad_4 *= err
+            np.matmul(sig_grad, x_aug, out=d_w1t)
+            d_w1t_4 *= w2_col            # w2 before its own step
             if not (np.isfinite(d_w1t).all() and np.isfinite(d_w2).all()):
                 fail(epoch)
             neg_w1t += lr * d_w1t

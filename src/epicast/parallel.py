@@ -29,6 +29,7 @@ pool may start, so commands that never fork do not load them.
 from __future__ import annotations
 
 import os
+import signal
 import sys
 import threading
 from typing import Callable, TypeVar
@@ -112,10 +113,14 @@ def contiguous_shares(sizes, count: int) -> list[list[tuple[int, int, int]]]:
 
 
 def _install(fn, started, cpus) -> None:
-    """Start a worker: install the unit function, then move the k-th
-    worker started onto CPU k of ``cpus`` and give it all of ``cpus``
-    back, so that the pool's workers begin on different CPUs."""
+    """Start a worker: ignore SIGINT, which the parent alone answers (a
+    Ctrl-C reaches the whole process group), and unblock it; install the
+    unit function; then move the k-th worker started onto CPU k of
+    ``cpus`` and give it all of ``cpus`` back, so that the pool's workers
+    begin on different CPUs."""
     global _unit_fn
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     _unit_fn = fn
     if not cpus:
         return
@@ -158,7 +163,14 @@ def map_units(fn: Callable[[int], R], n: int) -> list[R]:
         initargs=(fn, context.Value("i", 0), cpus),
     )
     try:
-        return list(pool.map(_run_unit, range(n)))
+        # the workers fork while the first units are submitted: with SIGINT
+        # blocked, none can take one before it ignores them
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            results = pool.map(_run_unit, range(n))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+        return list(results)
     except BrokenProcessPool as exc:
         raise EpicastError(f"a worker process died: {exc}") from exc
     finally:

@@ -1,4 +1,7 @@
 import datetime
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,19 @@ def make_series(values, name="test", start=START):
 def linear_series(n, intercept=2.0, slope=3.0, name="linear"):
     t = np.arange(1, n + 1, dtype=float)
     return make_series(intercept + slope * t, name=name)
+
+
+def python_output(code):
+    """Standard output of ``code`` run in a fresh interpreter."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return done.stdout
 
 
 @pytest.fixture(scope="session")

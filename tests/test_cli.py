@@ -6,9 +6,11 @@ import io
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,6 +31,7 @@ from epicast.core import (
     load_india_series,
 )
 from epicast.errors import EpicastError
+from epicast.parallel import usable_cpus
 
 from conftest import linear_series, make_series
 
@@ -49,6 +52,15 @@ def write_series_csv(tmp_path, series, name="series.csv"):
 
 
 FAST_FLAGS = ["--repeats", "3", "--epochs", "60"]
+
+
+def has_forked(pid):
+    """Whether process ``pid`` has a child; True where Linux cannot say."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children", encoding="ascii") as fh:
+            return bool(fh.read().split())
+    except OSError:
+        return True
 
 
 def assert_one_error_line(capsys):
@@ -629,6 +641,36 @@ class TestFailureModes:
         assert done.stderr == (
             "error: population must exceed the cumulative case count\n")
         assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="no process groups")
+    def test_ctrl_c_exits_130_with_one_line(self, tmp_path):
+        # Ctrl-C signals the terminal's whole process group: the parent and
+        # any worker it forked
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = tmp_path / "out"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "epicast.cli", "monitor", "--input",
+             fixture_path("india_confirmed.csv"), "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True, start_new_session=True)
+        try:
+            time.sleep(1.0)  # past the imports: its origins are fitting
+            deadline = time.monotonic() + 30
+            while (usable_cpus() > 1 and not has_forked(proc.pid)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 130, err
+            assert err == "error: interrupted\n"
+            with pytest.raises(ProcessLookupError):  # no worker is left
+                os.killpg(proc.pid, 0)
+            assert not out.exists() or not any(out.iterdir())
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
     @pytest.mark.parametrize("model, lags", [("holt-wbann", 302),
                                              ("arima-wbf", 300)])

@@ -25,7 +25,7 @@ from epicast.forecasters import (
 )
 from epicast.hybrid import make_forecaster
 
-from conftest import linear_series, make_series
+from conftest import linear_series, make_series, python_output
 
 
 def holt_grid_oracle(y):
@@ -392,6 +392,37 @@ class TestCssOracle:
         assert got[3] == want[3]
         assert got[4].tobytes() == want[4].tobytes()
         assert not np.shares_memory(got[4], w)
+
+    @pytest.mark.parametrize("kernel_first", [True, False])
+    def test_kernel_equals_lfilter_in_either_load_order(self, kernel_first):
+        # one fresh interpreter per order: the kernel's extension module
+        # loaded alone and later found by scipy.signal, or loaded by
+        # scipy.signal and then reused
+        code = f"""if True:
+            import sys
+            import numpy as np
+            from epicast.forecasters import _FILTER_NUMERATOR, _linear_filter
+            if {kernel_first}:
+                kernel = _linear_filter()
+                assert "scipy.signal" not in sys.modules
+                from scipy import signal
+            else:
+                from scipy import signal
+                kernel = _linear_filter()
+            module = sys.modules["scipy.signal._sigtools"]
+            assert kernel is module._linear_filter
+            rng = np.random.default_rng(11)
+            for trial in range(300):
+                q = int(rng.integers(1, 6))
+                a = np.concatenate([[1.0], rng.normal(scale=0.8, size=q)])
+                u = rng.normal(scale=10.0 ** rng.uniform(-3, 3),
+                               size=int(rng.integers(0, 120)))
+                got = kernel(_FILTER_NUMERATOR, a, u, -1)
+                want = signal.lfilter([1.0], a, u)
+                assert got.tobytes() == want.tobytes(), trial
+            print("ok")
+        """
+        assert python_output(code) == "ok\n"
 
 
 class TestContract:

@@ -31,10 +31,12 @@ FAST = TdnnConfig(repeats=5, epochs=120, seed=9)
 
 def _reference_descend(weights, x, y, config, component_labels):
     """The epoch loop of ``_descend`` in its (C, R, H, N) form, with an
-    un-negated first layer and the ``err * w2`` product broadcast in one
-    call: the readable oracle the optimised loop must match bit for bit.
-    Each matrix product has the operand shapes of ``_descend``'s, and like
-    ``_descend`` it casts to float32 at entry and returns float64 weights."""
+    un-negated first layer: the readable oracle the optimised loop must
+    match bit for bit. The first layer's gradient is the GEMM of
+    ``sig_grad * err`` against the inputs, then scaled by ``w2`` before
+    ``w2`` takes its own step. Each matrix product has the operand shapes
+    of ``_descend``'s, and like ``_descend`` it casts to float32 at entry
+    and returns float64 weights."""
     f32 = np.float32
     lr = config.learning_rate
     x = np.asarray(x, dtype=f32)
@@ -52,7 +54,6 @@ def _reference_descend(weights, x, y, config, component_labels):
     y = np.asarray(y, dtype=f32)[:, None, None, :]
     hidden = np.empty((c, r, h, n), dtype=f32)
     sig_grad = np.empty_like(hidden)
-    d_pre = np.empty_like(hidden)
     err = np.empty((c, r, 1, n), dtype=f32)
     d_w1t = np.empty_like(w1t)
     d_w2 = np.empty_like(w2)
@@ -85,9 +86,9 @@ def _reference_descend(weights, x, y, config, component_labels):
             d_b2 = err.sum(axis=-1, keepdims=True)
             np.multiply(hidden, hidden, out=sig_grad)
             np.subtract(hidden, sig_grad, out=sig_grad)
-            np.multiply(err, w2, out=d_pre)
-            d_pre *= sig_grad
-            np.matmul(flat(d_pre), x_aug, out=flat(d_w1t))
+            sig_grad *= err
+            np.matmul(flat(sig_grad), x_aug, out=flat(d_w1t))
+            d_w1t *= w2
             if not (np.isfinite(d_w1t).all() and np.isfinite(d_w2).all()):
                 fail(epoch)
             w1t -= lr * d_w1t
@@ -214,6 +215,12 @@ class TestDescendOracle:
     # one restart: a reshape can then keep the first layer transposed
     @example(c=1, r=1, n=1, p=2, h=3, epochs=2, log_rate=0.0, data_seed=1,
              first_label=0)
+    # one hidden unit: w2 scales a (C, R, 1, p+1) view of the gradient
+    @example(c=3, r=4, n=25, p=3, h=1, epochs=6, log_rate=-1.3, data_seed=2,
+             first_label=0)
+    # the default width, 20 restarts of 3 hidden units, on 60 samples
+    @example(c=5, r=20, n=60, p=4, h=3, epochs=8, log_rate=-1.3,
+             data_seed=3, first_label=1)
     def test_bit_identical_to_reference(self, c, r, n, p, h, epochs,
                                         log_rate, data_seed, first_label):
         rng = np.random.default_rng(data_seed)

@@ -4,8 +4,6 @@ bytes for any worker count, and failures that end a run cleanly."""
 import functools
 import multiprocessing
 import os
-import subprocess
-import sys
 import threading
 from types import SimpleNamespace
 
@@ -26,7 +24,7 @@ from epicast.neural import (
 )
 from epicast.parallel import map_units
 
-from conftest import linear_series
+from conftest import linear_series, python_output
 from test_cli import FAST_FLAGS, assert_one_error_line, run, write_series_csv
 from test_neural import _descend_outcome
 
@@ -366,19 +364,6 @@ class TestFailuresInWorkers:
                                    "holt-wbann", hybrid, "wbann_train")
 
 
-def python_output(code):
-    """Standard output of ``code`` run in a fresh interpreter."""
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
-    )
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    return done.stdout
-
-
 def test_cli_import_loads_no_scipy():
     # scipy.signal takes about a second to import and only ARIMA needs it
     code = ("import sys, epicast.cli; "
@@ -395,21 +380,31 @@ def test_cli_import_loads_no_pool_modules():
 
 
 def test_arima_kernel_imported_before_the_fork():
-    # so that the workers share scipy.signal rather than each importing it;
-    # one fresh interpreter per tag, since an import cannot be undone
+    # so that the workers share the filter kernel rather than each loading
+    # it; one fresh interpreter per tag, since a load cannot be undone. The
+    # kernel's module is recorded as the pool starts, in the parent
     code = """if True:
         import sys
         from epicast import evaluate, parallel
         from epicast.core import load_india_series
         from epicast.neural import TdnnConfig
+        at_fork = []
+        may_fork = parallel._may_fork
+        def record():
+            at_fork.append("scipy.signal._sigtools" in sys.modules)
+            return may_fork()
+        parallel._may_fork = record
         parallel.usable_cpus = lambda: 2
         series = load_india_series().prefix(60)
         evaluate.monitor(series, [{!r}], k=4,
                          config=TdnnConfig(repeats=2, epochs=10))
-        print("scipy.signal" in sys.modules)
+        print(at_fork[0], "scipy.signal" in sys.modules)
     """
-    loaded = {tag: python_output(code.format(tag)).strip()
+    loaded = {tag: python_output(code.format(tag)).split()
               for tag in ("holt", "arima(1,1,0)", "arima", "arima-wbf")}
-    # a fixed order without an MA part never filters, so it leaves scipy out
-    assert loaded == {"holt": "False", "arima(1,1,0)": "False",
-                      "arima": "True", "arima-wbf": "True"}
+    # a fixed order without an MA part never filters, so it leaves the
+    # kernel out; and no tag imports the scipy.signal package
+    assert loaded == {"holt": ["False", "False"],
+                      "arima(1,1,0)": ["False", "False"],
+                      "arima": ["True", "False"],
+                      "arima-wbf": ["True", "False"]}
