@@ -47,19 +47,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write(path: Path, kind: str, payload) -> None:
-    """Write one prepared output: ``("csv", (header, rows))`` or
-    ``("text", text)``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if kind == "csv":
-            header, rows = payload
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        else:
-            fh.write(payload)
-
-
 def _svg_chart(series_by_name: dict, title: str) -> str:
     """Minimal multi-line SVG chart; data-only, no external services."""
     # imported here: it loads urllib.request, some 7 MB and 20 ms
@@ -161,23 +148,20 @@ def cmd_forecast(args) -> list[Path]:
     check_horizon(args.horizon)  # fail before the fit, not after it
     (model,) = fit_tagged_models(series, [args.model], _tdnn_config(args)).values()
     raw = model.forecast(args.horizon)
-    out_dir = Path(args.out)
-    rows = []
+    rows = [["date", "point_forecast", "clamped_forecast"]]
     points = []
     for i, value in enumerate(raw, start=1):
         date = series.last_date + timedelta(days=i)
         rows.append([date.isoformat(), _fmt(value), _fmt(max(0.0, value))])
         points.append((len(series) + i, float(value)))
-    outputs = [(out_dir / "forecast.csv", "csv",
-                (["date", "point_forecast", "clamped_forecast"], rows))]
+    chart = None
     if args.svg:
         history = [(i + 1, float(v)) for i, v in enumerate(series.values)]
         chart = _svg_chart(
             {series.name: history, f"{args.model} forecast": points},
             f"{args.model} forecast for {series.name}",
         )
-        outputs.append((out_dir / "forecast.svg", "text", chart))
-    return _emit(outputs, optional=[out_dir / "forecast.svg"])
+    return _emit(Path(args.out), {"forecast.csv": rows, "forecast.svg": chart})
 
 
 def cmd_adjust(args) -> list[Path]:
@@ -215,7 +199,7 @@ def cmd_adjust(args) -> list[Path]:
         ),
         weights=weights,
     )
-    rows = []
+    rows = [["state", "unadjusted", "weight", "correction", "adjusted"]]
     for (s, _), unadj, w, corr in zip(
         states,
         state_forecasts,
@@ -234,14 +218,9 @@ def cmd_adjust(args) -> list[Path]:
             _fmt(adjustment.corrected_national_forecast),
         ]
     )
-    out_dir = Path(args.out)
-    outputs = [(out_dir / "adjustment.csv", "csv",
-                (["state", "unadjusted", "weight", "correction", "adjusted"],
-                 rows))]
-    if excluded:
-        text = "".join(f"{name}: {reason}\n" for name, reason in excluded)
-        outputs.append((out_dir / "exclusions.txt", "text", text))
-    written = _emit(outputs, optional=[out_dir / "exclusions.txt"])
+    exclusions = "".join(f"{name}: {reason}\n" for name, reason in excluded)
+    written = _emit(Path(args.out), {"adjustment.csv": rows,
+                                     "exclusions.txt": exclusions or None})
     print(f"branch: {adjustment.branch}")
     return written
 
@@ -250,30 +229,22 @@ def cmd_monitor(args) -> list[Path]:
     series = parse_series_csv(args.input)
     models = _split_tags(args.model)
     report = monitor(series, models, k=args.window, config=_tdnn_config(args))
-    metric_rows = [
+    metric_rows = [["origin", "model", "rmse", "mae", "m"]] + [
         [r.origin, r.model, _fmt(r.rmse), _fmt(r.mae), _fmt(r.m)]
         for r in report.records
     ]
-    dominance_rows = [
+    dominance_rows = [["model", "dominance_pct", "weighted_pct"]] + [
         [tag, _fmt(report.dominance[tag]), _fmt(report.weighted_share[tag])]
         for tag in report.models
     ]
     by_origin = {origin: {} for origin in report.origins}
     for r in report.records:
         by_origin[r.origin][r.model] = r.m
-    timeline_rows = [
+    timeline_rows = [["origin"] + [f"m_{tag}" for tag in report.models]] + [
         [origin] + [_fmt(by_origin[origin][tag]) for tag in report.models]
         for origin in report.origins
     ]
-    out_dir = Path(args.out)
-    outputs = [
-        (out_dir / "monitor.csv", "csv",
-         (["origin", "model", "rmse", "mae", "m"], metric_rows)),
-        (out_dir / "dominance.csv", "csv",
-         (["model", "dominance_pct", "weighted_pct"], dominance_rows)),
-        (out_dir / "timeline.csv", "csv",
-         (["origin"] + [f"m_{tag}" for tag in report.models], timeline_rows)),
-    ]
+    chart = None
     if args.svg:
         chart = _svg_chart(
             {
@@ -282,8 +253,12 @@ def cmd_monitor(args) -> list[Path]:
             },
             f"moving-window metric, k={report.k}",
         )
-        outputs.append((out_dir / "monitor.svg", "text", chart))
-    written = _emit(outputs, optional=[out_dir / "monitor.svg"])
+    written = _emit(Path(args.out), {
+        "monitor.csv": metric_rows,
+        "dominance.csv": dominance_rows,
+        "timeline.csv": timeline_rows,
+        "monitor.svg": chart,
+    })
     print(f"mode winner: {report.mode_winner}")
     print(f"recency-weighted winner: {report.weighted_winner}")
     return written
@@ -294,7 +269,7 @@ def cmd_shelflife(args) -> list[Path]:
     train_len = args.train_len if args.train_len is not None else len(series) // 2
     result = shelf_life(series, train_len, model=args.model,
                         threshold_pct=args.threshold, config=_tdnn_config(args))
-    ape_rows = [
+    ape_rows = [["t", "ape", "fitted_line"]] + [
         [t, _fmt(a), _fmt(line)]
         for (t, a), line in zip(result.ape_series, result.fitted_line)
     ]
@@ -313,11 +288,8 @@ def cmd_shelflife(args) -> list[Path]:
         f"intercept: {result.intercept!r}\n"
         f"crossing_t: {result.crossing_t!r}\n" + verdict
     )
-    out_dir = Path(args.out)
-    written = _emit([
-        (out_dir / "ape.csv", "csv", (["t", "ape", "fitted_line"], ape_rows)),
-        (out_dir / "shelflife.txt", "text", text),
-    ])
+    written = _emit(Path(args.out), {"ape.csv": ape_rows,
+                                     "shelflife.txt": text})
     print(verdict, end="")
     return written
 
@@ -332,40 +304,46 @@ def cmd_r0(args) -> list[Path]:
     growth = epi.r0_from_growth(r, gi, stderr=stderr, mse=mse)
     sir = epi.sir_fit(series, args.population)
     rows = [
+        ["location", "method", "r0", "ci_lower", "ci_upper", "mse"],
         [series.name, "growth", _fmt(growth.r0), _fmt(growth.ci_lower),
          _fmt(growth.ci_upper), _fmt(growth.fit_mse)],
         [series.name, "sir", _fmt(sir.r0_sir), "", "",
          _fmt(sir.trajectory_mse)],
     ]
-    out_dir = Path(args.out)
-    written = _emit([
-        (out_dir / "r0.csv", "csv",
-         (["location", "method", "r0", "ci_lower", "ci_upper", "mse"], rows)),
-    ])
+    written = _emit(Path(args.out), {"r0.csv": rows})
     print(f"growth r0: {growth.r0!r}  sir r0: {sir.r0_sir!r}")
     return written
 
 
-def _emit(outputs, optional=()) -> list[Path]:
-    """Write all prepared outputs, all or nothing; directories are created
-    as needed.
+def _emit(out_dir: Path, files: dict) -> list[Path]:
+    """Write one run's output files into ``out_dir``, all or nothing; the
+    directory is created as needed.
 
-    Each payload goes to a temporary file beside its target. The files are
+    ``files`` maps each file name to its contents: a list of CSV rows,
+    header first, or a string of text. ``None`` marks a file the command
+    writes only on some runs and not on this one: a file of that name is
+    removed last, so a rerun into the same directory leaves no stale file
+    from an earlier run.
+
+    Each file goes to a temporary file beside its target. The files are
     renamed into place only once all are written and no target is a
     directory; a failure before that removes them and changes no target.
-    ``optional`` names the files the command writes only on some runs; any
-    of them this run did not write is removed last, so a rerun into the
-    same directory leaves no stale file from an earlier run.
     """
-    targets = [path for path, _, _ in outputs]
-    stale = [path for path in optional
-             if path not in targets and path.exists()]
+    outputs = {out_dir / name: contents for name, contents in files.items()
+               if contents is not None}
+    targets = list(outputs)
+    stale = [out_dir / name for name, contents in files.items()
+             if contents is None and (out_dir / name).exists()]
     staged = []
     try:
-        for path, kind, payload in outputs:
+        for path, contents in outputs.items():
             path.parent.mkdir(parents=True, exist_ok=True)
             staged.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
-            _write(staged[-1], kind, payload)
+            with open(staged[-1], "w", encoding="utf-8", newline="") as fh:
+                if isinstance(contents, str):
+                    fh.write(contents)
+                else:
+                    csv.writer(fh, lineterminator="\n").writerows(contents)
         for path in targets + stale:
             if path.is_dir():
                 raise IsADirectoryError(

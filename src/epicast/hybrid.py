@@ -11,7 +11,6 @@ panel, side by side on :func:`~epicast.parallel.map_units`.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .errors import EpicastError, InsufficientDataError, TrainingError, Validati
 from .forecasters import ArimaForecaster, Forecaster, HoltForecaster
 from .neural import (
     TdnnConfig,
-    WbannModel,
     WbannProblem,
     wbann_fit,
     wbann_forecast,
@@ -35,16 +33,6 @@ MODEL_TAGS = ("arima", "arima-wbf", "holt", "holt-wbann")
 HYBRID_BASES = {"holt-wbann": "holt", "arima-wbf": "arima"}
 
 
-@dataclass
-class _HybridProblem:
-    """A fitted base model, its leading undefined span and the training
-    problem of the residual network on its errors."""
-
-    base: Forecaster
-    base_skip: int
-    residual: WbannProblem = field(repr=False)
-
-
 @contextmanager
 def _phase(name: str):
     """Prefix the message of any epicast error raised in the block with the
@@ -53,34 +41,6 @@ def _phase(name: str):
         yield
     except EpicastError as exc:
         raise type(exc)(f"{name} phase: {exc}") from exc
-
-
-def _base_residuals(series: UnivariateSeries, base_kind: str,
-                    base: Forecaster | None):
-    """The fitted base, its leading undefined span and its one-step errors."""
-    if len(series) < 20:
-        raise InsufficientDataError(
-            f"hybrid fit needs >= 20 points, got {len(series)}"
-        )
-    if base is None:
-        with _phase(f"base ({base_kind})"):
-            base = make_forecaster(base_kind).fit(series)
-    fitted = base.fitted()
-    defined = np.isfinite(fitted)
-    skip = int(np.argmax(defined)) if defined.any() else len(fitted)
-    if not defined[skip:].all():
-        raise ValidationError("base fitted values must be a contiguous tail")
-    return base, skip, series.values[skip:] - fitted[skip:]
-
-
-def _hybrid_problem(series: UnivariateSeries, base_kind: str,
-                    config: TdnnConfig, base: Forecaster) -> _HybridProblem:
-    """The first half of :meth:`HybridForecaster.fit` on a prefit
-    ``base``: frame the residual network's training problem without
-    training it."""
-    base, skip, residuals = _base_residuals(series, base_kind, base)
-    with _phase("residual (wbann)"):
-        return _HybridProblem(base, skip, wbann_problem(residuals, config))
 
 
 class HybridForecaster(Forecaster):
@@ -100,21 +60,35 @@ class HybridForecaster(Forecaster):
     def fit(self, train: UnivariateSeries, base: Forecaster | None = None):
         """Fit the base on the full series, then the residual network on
         the base's one-step errors. A prefit ``base`` for the same series
-        may be supplied to avoid refitting."""
-        base, skip, residuals = _base_residuals(train, self.base_kind, base)
+        may be supplied to avoid refitting. A fit that raises in the
+        residual phase leaves the new base beside any earlier residual
+        model: a model whose fit raised is not to be used."""
+        residuals = self._fit_base(train, base)
         with _phase("residual (wbann)"):
-            residual_model = wbann_fit(residuals, self.config)
-        return self._fitted_with(train, base, skip, residual_model)
+            self.residual_model = wbann_fit(residuals, self.config)
+        return self
 
-    def _fitted_with(self, train: UnivariateSeries, base: Forecaster,
-                     base_skip: int, residual_model: WbannModel):
-        """Hold the phases fitted on ``train``: the only place a hybrid's
-        fitted state is set."""
+    def _fit_base(self, train: UnivariateSeries,
+                  base: Forecaster | None) -> np.ndarray:
+        """Fit the base on ``train``, or take the prefit ``base``, and hold
+        it with its leading undefined span; return its one-step errors
+        past that span, the residual network's training series."""
+        if len(train) < 20:
+            raise InsufficientDataError(
+                f"hybrid fit needs >= 20 points, got {len(train)}"
+            )
+        if base is None:
+            with _phase(f"base ({self.base_kind})"):
+                base = make_forecaster(self.base_kind).fit(train)
+        fitted = base.fitted()
+        defined = np.isfinite(fitted)
+        skip = int(np.argmax(defined)) if defined.any() else len(fitted)
+        if not defined[skip:].all():
+            raise ValidationError("base fitted values must be a contiguous tail")
         self._observed = np.asarray(train.values, dtype=float)
         self.base = base
-        self.base_skip = base_skip
-        self.residual_model = residual_model
-        return self
+        self.base_skip = skip
+        return train.values[skip:] - fitted[skip:]
 
     def fitted(self) -> np.ndarray:
         """Base fitted plus residual fitted, aligned on the original index;
@@ -242,10 +216,11 @@ def fit_panel(panel: HierarchicalPanel, tag: str,
 
     A hybrid tag fits in three rounds, so that the residual networks, which
     cost the most, reach every worker in equal shares whatever the number
-    of series: one unit per series on :func:`map_units` fits the base and
-    frames the residual problem (other tags finish there);
-    :func:`_train_residuals` trains the networks; and this process
-    assembles each model or raises its series' divergence error.
+    of series: one unit per series on :func:`map_units` fits the base into
+    the series' model and frames its residual problem (other tags finish
+    there); :func:`_train_residuals` trains the networks; and this process
+    completes each model with its network or raises its series'
+    divergence error.
     """
     tag = make_forecaster(tag).tag  # a bad tag fails here, before any fit
     series = [panel.national, *panel.states]
@@ -255,24 +230,23 @@ def fit_panel(panel: HierarchicalPanel, tag: str,
         if not isinstance(model, HybridForecaster):
             return model.fit(series[index])
         base = make_forecaster(model.base_kind).fit(series[index])
-        return _hybrid_problem(series[index], model.base_kind, model.config,
-                               base)
+        residuals = model._fit_base(series[index], base)
+        with _phase("residual (wbann)"):
+            return model, wbann_problem(residuals, model.config)
 
-    def assemble(index: int, problem: _HybridProblem,
+    def assemble(model: HybridForecaster, problem: WbannProblem,
                  trained: dict | TrainingError) -> HybridForecaster:
         with _phase("residual (wbann)"):
             if isinstance(trained, TrainingError):
                 raise trained
-            residual_model = wbann_model(problem.residual, trained)
-        return make_forecaster(tag, config)._fitted_with(
-            series[index], problem.base, problem.base_skip, residual_model)
+            model.residual_model = wbann_model(problem, trained)
+        return model
 
     results = map_units(lambda i: _fit_or_error(i, frame, i), len(series))
-    hybrids = [i for i, r in enumerate(results)
-               if isinstance(r, _HybridProblem)]
-    trained = _train_residuals([results[i].residual for i in hybrids])
+    hybrids = [i for i, r in enumerate(results) if isinstance(r, tuple)]
+    trained = _train_residuals([results[i][1] for i in hybrids])
     for index, weights in zip(hybrids, trained):
-        results[index] = _fit_or_error(index, assemble, index,
-                                       results[index], weights)
+        results[index] = _fit_or_error(index, assemble, *results[index],
+                                       weights)
     national, *states = results
     return national, states

@@ -112,13 +112,30 @@ def contiguous_shares(sizes, count: int) -> list[list[tuple[int, int, int]]]:
     return shares
 
 
-def _install(fn, started, cpus) -> None:
-    """Start a worker: ignore SIGINT, which the parent alone answers (a
-    Ctrl-C reaches the whole process group), and unblock it; install the
-    unit function; then move the k-th worker started onto CPU k of
-    ``cpus`` and give it all of ``cpus`` back, so that the pool's workers
-    begin on different CPUs."""
+def _end_with_parent(parent: int) -> None:
+    """On Linux, have the kernel send this worker SIGTERM when its parent,
+    process ``parent``, dies, and exit now if it already has. A worker
+    holds both ends of the pool's call-queue pipe, so it would never see
+    the queue close and would sleep on for good. Elsewhere nothing ends
+    the workers of a parent killed alone."""
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    pr_set_pdeathsig = 1  # from <linux/prctl.h>
+    ctypes.CDLL(None).prctl(pr_set_pdeathsig, signal.SIGTERM)
+    if os.getppid() != parent:  # it died before the prctl took effect
+        os._exit(1)
+
+
+def _install(fn, started, cpus, parent) -> None:
+    """Start a worker: end it with its parent, process ``parent``; ignore
+    SIGINT, which the parent alone answers (a Ctrl-C reaches the whole
+    process group), and unblock it; install the unit function; then move
+    the k-th worker started onto CPU k of ``cpus`` and give it all of
+    ``cpus`` back, so that the pool's workers begin on different CPUs."""
     global _unit_fn
+    _end_with_parent(parent)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     _unit_fn = fn
@@ -160,7 +177,7 @@ def map_units(fn: Callable[[int], R], n: int) -> list[R]:
         workers,
         mp_context=context,
         initializer=_install,
-        initargs=(fn, context.Value("i", 0), cpus),
+        initargs=(fn, context.Value("i", 0), cpus, os.getpid()),
     )
     try:
         # the workers fork while the first units are submitted: with SIGINT

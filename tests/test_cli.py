@@ -63,6 +63,22 @@ def has_forked(pid):
         return True
 
 
+def live_group_members(pgid):
+    """The pids of Linux process group ``pgid`` that are not zombies."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii",
+                      errors="replace") as fh:
+                # after the parenthesised name: state, ppid, pgrp
+                state, _, pgrp = fh.read().rsplit(")", 1)[1].split()[:3]
+        except (OSError, ValueError):  # gone since the listing
+            continue
+        if int(pgrp) == pgid and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -235,14 +251,15 @@ class TestAdjustCommand:
 
         path = tmp_path / "panel.csv"
         panel.to_csv(path)
-        hybrid_problem = hybrid._hybrid_problem
+        fit_base = hybrid.HybridForecaster._fit_base
 
-        def kerala_with_302_lags(series, base_kind, config, base):
-            if series.name == "kerala":
-                config = replace(config, lags=302)
-            return hybrid_problem(series, base_kind, config, base)
+        def kerala_with_302_lags(model, train, base):
+            if train.name == "kerala":
+                model.config = replace(model.config, lags=302)
+            return fit_base(model, train, base)
 
-        monkeypatch.setattr(hybrid, "_hybrid_problem", kerala_with_302_lags)
+        monkeypatch.setattr(hybrid.HybridForecaster, "_fit_base",
+                            kerala_with_302_lags)
         out = tmp_path / "out"
         args = SimpleNamespace(
             input=str(path), model="holt-wbann", seed=1, out=str(out),
@@ -642,24 +659,31 @@ class TestFailureModes:
             "error: population must exceed the cumulative case count\n")
         assert not out.exists()
 
-    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="no process groups")
-    def test_ctrl_c_exits_130_with_one_line(self, tmp_path):
-        # Ctrl-C signals the terminal's whole process group: the parent and
-        # any worker it forked
+    @staticmethod
+    def start_fitting_monitor(out):
+        """``monitor`` on the fixture in a new session, once its origins are
+        fitting: past the imports and, where it forks, its workers exist."""
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        out = tmp_path / "out"
         proc = subprocess.Popen(
             [sys.executable, "-m", "epicast.cli", "monitor", "--input",
              fixture_path("india_confirmed.csv"), "--out", str(out)],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             text=True, start_new_session=True)
+        time.sleep(1.0)
+        deadline = time.monotonic() + 30
+        while (usable_cpus() > 1 and not has_forked(proc.pid)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        return proc
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="no process groups")
+    def test_ctrl_c_exits_130_with_one_line(self, tmp_path):
+        # Ctrl-C signals the terminal's whole process group: the parent and
+        # any worker it forked
+        out = tmp_path / "out"
+        proc = self.start_fitting_monitor(out)
         try:
-            time.sleep(1.0)  # past the imports: its origins are fitting
-            deadline = time.monotonic() + 30
-            while (usable_cpus() > 1 and not has_forked(proc.pid)
-                   and time.monotonic() < deadline):
-                time.sleep(0.05)
             os.killpg(proc.pid, signal.SIGINT)
             _, err = proc.communicate(timeout=120)
             assert proc.returncode == 130, err
@@ -671,6 +695,29 @@ class TestFailureModes:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or usable_cpus() < 2,
+                        reason="workers end with their parent on Linux only")
+    def test_sigterm_to_the_parent_alone_leaves_no_worker(self, tmp_path):
+        # the workers, orphaned, are reaped by whoever adopts them: count
+        # the group's live processes, not its zombies
+        out = tmp_path / "out"
+        proc = self.start_fitting_monitor(out)
+        try:
+            proc.terminate()
+            assert proc.wait(timeout=60) == -signal.SIGTERM
+            deadline = time.monotonic() + 5
+            while (live_group_members(proc.pid)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert live_group_members(proc.pid) == []
+            assert not out.exists() or not any(out.iterdir())
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            proc.stderr.close()  # a worker left behind would hold it open
 
     @pytest.mark.parametrize("model, lags", [("holt-wbann", 302),
                                              ("arima-wbf", 300)])

@@ -101,10 +101,9 @@ class TestHybridOutputs:
             fitted_values=np.array([0.1, -0.1]),
             config=SimpleNamespace(lags=0),
         )
-        model = HybridForecaster("holt-wbann", "holt")._fitted_with(
-            make_series([1.0, 2.0]), base=base, base_skip=0,
-            residual_model=resid,
-        )
+        model = HybridForecaster("holt-wbann", "holt")
+        model._observed = make_series([1.0, 2.0]).values
+        model.base, model.base_skip, model.residual_model = base, 0, resid
         assert np.allclose(model.fitted(), [1.1, 1.9], atol=1e-12)
 
     def test_forecast_decomposition_identity(self, india):
@@ -173,10 +172,12 @@ class TestRegistry:
 
 
 class TestFitPanel:
-    @pytest.mark.parametrize("tag", ["holt", "holt-wbann", "arima(1,1,0)"])
+    @pytest.mark.parametrize("tag", ["holt", "holt-wbann", "arima(1,1,0)",
+                                     "arima-wbf"])
     def test_same_bytes_as_one_series_fits(self, panel, monkeypatch, tag):
         # the panel fit cuts the residual networks across series and
-        # workers; each series must still get its one-series fit's bits
+        # workers; each series must still get its one-series fit's bits,
+        # an ARIMA base's undefined span of d + p days included
         config = TdnnConfig(repeats=2, epochs=30, seed=4)
 
         def outputs(model):
