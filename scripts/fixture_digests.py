@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Print the SHA-256 of every output of the five CLI commands on the
-committed fixtures, so that two checkouts can be compared with one ``diff``.
+committed fixtures, ``adjust`` under each weight rule, so that two
+checkouts can be compared with one ``diff``.
 
 Each command runs in a fresh process on this checkout's ``src`` with
 ``--seed 42`` and its own output directory. The digests of its ``--out``
 files and of its stdout are printed one per line, as
-``<sha256>  <command>/<file>``. A command that exits nonzero, or writes
+``<sha256>  <label>/<file>``. A command that exits nonzero, or writes
 anything to stderr (a numpy warning, say), stops the script with its
 stderr.
 
@@ -27,22 +28,25 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SERIES = "india_confirmed.csv"
 PANEL = "india_panel.csv"
 
-# command -> (fixture, extra flags)
-COMMANDS = {
-    "forecast": (SERIES, ["--horizon", "7", "--svg"]),
-    "adjust": (PANEL, []),
-    "shelflife": (SERIES, []),
-    "r0": (SERIES, ["--population", "1.38e9"]),
-    "monitor": (SERIES, ["--svg"]),
-}
+# (label, command, fixture, extra flags); the label names the output lines.
+# adjust runs once per weight rule, so that a diff covers every rule
+RUNS = [
+    ("forecast", "forecast", SERIES, ["--horizon", "7", "--svg"]),
+    ("adjust", "adjust", PANEL, []),
+    ("shelflife", "shelflife", SERIES, []),
+    ("r0", "r0", SERIES, ["--population", "1.38e9"]),
+    ("monitor", "monitor", SERIES, ["--svg"]),
+    ("adjust[window:3]", "adjust", PANEL, ["--weight-mode", "window:3"]),
+    ("adjust[ewma:0.9]", "adjust", PANEL, ["--weight-mode", "ewma:0.9"]),
+]
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(command: str, out: Path) -> list[tuple[str, str]]:
-    fixture, flags = COMMANDS[command]
+def digests(label: str, command: str, fixture: str, flags: list[str],
+            out: Path) -> list[tuple[str, str]]:
     argv = [sys.executable, "-m", "epicast.cli", command,
             "--input", str(SRC / "epicast" / "data" / fixture),
             "--seed", "42", "--out", str(out), *flags]
@@ -50,18 +54,18 @@ def digests(command: str, out: Path) -> list[tuple[str, str]]:
     done = subprocess.run(argv, env=env, capture_output=True)
     if done.returncode != 0 or done.stderr:
         sys.stderr.write(done.stderr.decode(errors="replace"))
-        raise SystemExit(f"{command} exited {done.returncode} and wrote "
+        raise SystemExit(f"{label} exited {done.returncode} and wrote "
                          f"{len(done.stderr)} bytes to stderr")
-    rows = [(sha256(done.stdout), f"{command}/stdout")]
+    rows = [(sha256(done.stdout), f"{label}/stdout")]
     for path in sorted(out.iterdir()):
-        rows.append((sha256(path.read_bytes()), f"{command}/{path.name}"))
+        rows.append((sha256(path.read_bytes()), f"{label}/{path.name}"))
     return rows
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for command in COMMANDS:
-            for digest, name in digests(command, Path(tmp) / command):
+        for i, run in enumerate(RUNS):
+            for digest, name in digests(*run, Path(tmp) / str(i)):
                 print(f"{digest}  {name}", flush=True)
     return 0
 

@@ -7,12 +7,7 @@ model monitoring; forecast shelf-life estimation; and reproduction-number
 estimates from growth rates and an SIR fit.
 """
 
-from .adjust import (
-    AdjustmentInput,
-    AdjustmentResult,
-    adjust_forecasts,
-    compute_weights_history,
-)
+from .adjust import AdjustmentInput, AdjustmentResult, adjust_forecasts
 from .core import (
     HierarchicalPanel,
     UnivariateSeries,

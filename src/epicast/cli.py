@@ -113,26 +113,6 @@ def _split_tags(text: str) -> list[str]:
     return [tag for tag in tags if tag]
 
 
-def _parse_weight_mode(text: str):
-    parts = text.strip().lower().split(":")
-    mode = parts[0]
-    try:
-        if mode == "last" and len(parts) == 1:
-            rule = {"mode": "last"}
-        elif mode == "window" and len(parts) == 2:
-            rule = {"mode": "window", "window": int(parts[1])}
-        elif mode == "ewma" and len(parts) == 2:
-            rule = {"mode": "ewma", "decay": float(parts[1])}
-        else:
-            raise ValueError(mode)
-    except ValueError:
-        raise ValidationError(
-            f"bad --weight-mode {text!r}; expected last, window:K or ewma:LAMBDA"
-        ) from None
-    adjust_mod.check_weight_rule(**rule)  # out of range fails before any fit
-    return rule
-
-
 def _parse_growth_window(text: str) -> tuple[int, int]:
     try:
         start, stop = (int(v) for v in text.split(":"))
@@ -167,7 +147,7 @@ def cmd_forecast(args) -> list[Path]:
 def cmd_adjust(args) -> list[Path]:
     panel = parse_panel_csv(args.input)
     config = _tdnn_config(args)
-    mode = _parse_weight_mode(args.weight_mode)
+    adjust_mod.parse_weight_rule(args.weight_mode)  # fail before any fit
     national, models = fit_panel(panel, args.model, config)
     # a state whose fit failed is left out, and the others share its weight
     states = [(s, m) for s, m in zip(panel.states, models)
@@ -183,21 +163,18 @@ def cmd_adjust(args) -> list[Path]:
     fitted = [m.fitted() for _, m in states]
     # fitted values are defined on a tail of each series, up to its last day
     depth = min(int(np.isfinite(f).sum()) for f in fitted)
-    obs_hist = np.column_stack([s.values[-depth:] for s, _ in states])
-    fit_hist = np.column_stack([f[-depth:] for f in fitted])
-    weights = adjust_mod.compute_weights_history(obs_hist, fit_hist, **mode)
-
     nat_unadj = float(national.forecast(1)[0])
     adjustment = adjust_mod.adjust_forecasts(
         adjust_mod.AdjustmentInput(
             state_forecasts=state_forecasts,
             national_forecast=nat_unadj,
-            last_observed_states=obs_hist[-1],
-            last_fitted_states=fit_hist[-1],
+            observed_states=np.column_stack(
+                [s.values[-depth:] for s, _ in states]),
+            fitted_states=np.column_stack([f[-depth:] for f in fitted]),
             last_observed_national=float(panel.national.values[-1]),
             last_fitted_national=float(national.fitted()[-1]),
         ),
-        weights=weights,
+        args.weight_mode,
     )
     rows = [["state", "unadjusted", "weight", "correction", "adjusted"]]
     for (s, _), unadj, w, corr in zip(
@@ -392,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--weight-mode",
         default="last",
-        help="correction shares: last, window:K or ewma:LAMBDA",
+        help=f"correction shares: {adjust_mod.WEIGHT_RULES}",
     )
     p.set_defaults(func=cmd_adjust)
 

@@ -113,3 +113,26 @@ def imodwt_haar(mra) -> np.ndarray:
         shift = 2 ** (j - 1)
         v = (w - np.roll(w, -shift)) / 2.0 + (v + np.roll(v, -shift)) / 2.0
     return v
+
+
+def weights_history(observed, fitted, mode: str, window: int = 7,
+                    decay: float = 0.9) -> np.ndarray:
+    """Each state's share of the adjustment under the three weight rules
+    written apart: its squared residual on the ``last`` day, its mean over a
+    trailing ``window``, or an exponentially weighted mean with factor
+    ``decay`` over the whole history (rows = days, columns = states);
+    normalised, and uniform when every score is zero. The arithmetic of
+    ``adjust.adjust_forecasts``' one day-weighted mean."""
+    obs = np.asarray(observed, dtype=float)
+    sq = (obs - np.asarray(fitted, dtype=float)) ** 2
+    if mode == "last":
+        scores = sq[-1]
+    elif mode == "window":
+        scores = sq[-window:].mean(axis=0)
+    else:
+        lam = decay ** np.arange(len(sq) - 1, -1, -1, dtype=float)
+        scores = (lam[:, None] * sq).sum(axis=0) / lam.sum()
+    total = float(scores.sum())
+    if total == 0.0:
+        return np.full(len(scores), 1.0 / len(scores))
+    return scores / total

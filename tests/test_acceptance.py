@@ -12,11 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from epicast.adjust import (
-    AdjustmentInput,
-    adjust_forecasts,
-    compute_weights_history,
-)
+from epicast.adjust import AdjustmentInput, adjust_forecasts
 from epicast.cli import main
 from epicast.epi import GenerationInterval, r0_from_growth, sir_fit, sir_simulate
 from epicast.evaluate import monitor, shelf_life, shelf_life_from_apes
@@ -210,15 +206,12 @@ class TestCriterion6Adjustment:
             inp = AdjustmentInput(
                 state_forecasts=rng.normal(100, 40, size=n),
                 national_forecast=float(rng.normal(100 * n, 60)),
-                last_observed_states=rng.normal(100, 40, size=n),
-                last_fitted_states=rng.normal(100, 40, size=n),
+                observed_states=rng.normal(100, 40, size=(1, n)),
+                fitted_states=rng.normal(100, 40, size=(1, n)),
                 last_observed_national=float(rng.normal(100 * n, 60)),
                 last_fitted_national=float(rng.normal(100 * n, 60)),
             )
-            weights = compute_weights_history(
-                [inp.last_observed_states], [inp.last_fitted_states]
-            )
-            result = adjust_forecasts(inp, weights)
+            result = adjust_forecasts(inp)
             branches.add(result.branch)
             worst_weight = max(worst_weight, abs(float(result.weights.sum()) - 1.0))
             worst_sum = max(
@@ -228,9 +221,12 @@ class TestCriterion6Adjustment:
                     - float(result.corrected_state_forecasts.sum())
                 ),
             )
-        hand = compute_weights_history(
-            [[11.0, 12.0, 13.0]], [[10.0, 10.0, 10.0]]
-        )
+        hand = adjust_forecasts(AdjustmentInput(
+            state_forecasts=np.zeros(3), national_forecast=0.0,
+            observed_states=[[11.0, 12.0, 13.0]],
+            fitted_states=[[10.0, 10.0, 10.0]],
+            last_observed_national=0.0, last_fitted_national=0.0,
+        )).weights
         hand_gap = float(
             np.max(np.abs(hand - np.array([1 / 14, 4 / 14, 9 / 14])))
         )

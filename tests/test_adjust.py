@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epicast.adjust import (
     DISTRIBUTE_TO_STATES,
     NATIONAL_FOLLOWS_STATES,
     AdjustmentInput,
     adjust_forecasts,
-    compute_weights_history,
+    parse_weight_rule,
 )
 from epicast.errors import ValidationError
+
+from oracles import weights_history
 
 
 def build_input(
@@ -19,35 +23,86 @@ def build_input(
     obs_national=30.0,
     fit_national=30.0,
 ):
+    """An input whose state histories are the one day given."""
     return AdjustmentInput(
         state_forecasts=np.asarray(states, dtype=float),
         national_forecast=national,
-        last_observed_states=np.asarray(obs_states, dtype=float),
-        last_fitted_states=np.asarray(fit_states, dtype=float),
+        observed_states=np.asarray([obs_states], dtype=float),
+        fitted_states=np.asarray([fit_states], dtype=float),
         last_observed_national=obs_national,
         last_fitted_national=fit_national,
     )
 
 
-def last_point_weights(inp):
-    """The ``last``-mode weights of a one-day history: the input's own
-    last observed and fitted states."""
-    return compute_weights_history(
-        [inp.last_observed_states], [inp.last_fitted_states]
+def history_input(observed, fitted):
+    """An input holding the ``observed`` and ``fitted`` state histories,
+    with zero forecasts and a national pair that never decides a test."""
+    return AdjustmentInput(
+        state_forecasts=np.zeros(np.shape(observed)[-1:]),
+        national_forecast=0.0,
+        observed_states=observed,
+        fitted_states=fitted,
+        last_observed_national=0.0,
+        last_fitted_national=0.0,
     )
 
 
+def weights(observed, fitted, rule="last"):
+    """The shares ``adjust_forecasts`` gives the states under ``rule``."""
+    return adjust_forecasts(history_input(observed, fitted), rule).weights
+
+
+@st.composite
+def residual_histories(draw):
+    """Observed and fitted histories of 1-60 days x 1-8 states, real-valued
+    or rounded to integers, at a scale whose squares may underflow to 0 or
+    overflow to inf, with some days fitted exactly (every residual 0)."""
+    days, states = draw(st.integers(1, 60)), draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([1.0, 1e-170, 1e6, 1e160]))
+    cells = st.lists(st.floats(-1e3, 1e3), min_size=days * states,
+                     max_size=days * states)
+    obs = scale * np.array(draw(cells)).reshape(days, states)
+    fit = scale * np.array(draw(cells)).reshape(days, states)
+    if draw(st.booleans()):
+        obs, fit = np.round(obs), np.round(fit)
+    exact = draw(st.lists(st.integers(0, days - 1), max_size=days))
+    fit[exact] = obs[exact]
+    return obs, fit
+
+
+# the oracle's mode and settings for each drawn rule text
+RULES = st.one_of(
+    st.just(("last", {"mode": "last"})),
+    st.integers(1, 70).map(
+        lambda k: (f"window:{k}", {"mode": "window", "window": k})),
+    st.one_of(st.just(1.0), st.just(1e-200), st.floats(1e-12, 1.0)).map(
+        lambda lam: (f"ewma:{lam!r}", {"mode": "ewma", "decay": lam})),
+)
+
+
 class TestWeights:
+    @settings(max_examples=300, deadline=None)
+    @given(history=residual_histories(), rule=RULES)
+    def test_rules_keep_the_three_branch_bits(self, history, rule):
+        # one day-weighted mean gives the bytes of the three rules written
+        # apart, also where old days' weights underflow to 0 or a square
+        # overflows to inf
+        (obs, fit), (text, oracle) = history, rule
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            got = weights(obs, fit, text)
+            want = weights_history(obs, fit, **oracle)
+        assert got.tobytes() == want.tobytes(), (got, want)
+
     def test_symmetric_residuals(self):
-        w = compute_weights_history([[13.0, 7.0]], [[10.0, 10.0]])  # residuals 3, -3
+        w = weights([[13.0, 7.0]], [[10.0, 10.0]])  # residuals 3, -3
         assert np.allclose(w, [0.5, 0.5], atol=1e-15)
 
     def test_hand_arithmetic(self):
-        w = compute_weights_history([[11.0, 12.0, 13.0]], [[10.0, 10.0, 10.0]])
+        w = weights([[11.0, 12.0, 13.0]], [[10.0, 10.0, 10.0]])
         assert np.allclose(w, [1 / 14, 4 / 14, 9 / 14], atol=1e-12)
 
     def test_zero_residual_fallback(self):
-        w = compute_weights_history([[5.0, 5.0, 5.0]], [[5.0, 5.0, 5.0]])
+        w = weights([[5.0, 5.0, 5.0]], [[5.0, 5.0, 5.0]])
         assert np.allclose(w, [1 / 3, 1 / 3, 1 / 3], atol=0)
 
     def test_normalisation(self):
@@ -55,24 +110,25 @@ class TestWeights:
         for _ in range(50):
             obs = rng.normal(size=5)
             fit = rng.normal(size=5)
-            assert abs(compute_weights_history([obs], [fit]).sum() - 1.0) < 1e-12
+            assert abs(weights([obs], [fit]).sum() - 1.0) < 1e-12
 
     def test_history_modes(self):
         obs = np.array([[1.0, 2.0], [2.0, 1.0], [4.0, 1.0]])
         fit = np.zeros((3, 2))
-        last = compute_weights_history(obs, fit, mode="last")
+        last = weights(obs, fit, "last")
         assert np.allclose(last, [16 / 17, 1 / 17], atol=1e-12)
-        windowed = compute_weights_history(obs, fit, mode="window", window=2)
+        windowed = weights(obs, fit, "window:2")
         assert np.allclose(windowed, [20 / 22, 2 / 22], atol=1e-12)
-        ewma = compute_weights_history(obs, fit, mode="ewma", decay=0.5)
+        ewma = weights(obs, fit, "ewma:0.5")
         # decayed squares: 0.25*(1,4) + 0.5*(4,1) + 1*(16,1) = (18.25, 2.5)
         assert np.allclose(ewma, [18.25 / 20.75, 2.5 / 20.75], atol=1e-12)
 
     def test_bad_mode(self):
         with pytest.raises(ValidationError):
-            compute_weights_history(np.ones((2, 2)), np.zeros((2, 2)), mode="mad")
+            parse_weight_rule("mad")
 
-    @pytest.mark.parametrize("mode", ["last", "window", "ewma"])
+    @pytest.mark.parametrize("rule", ["last", "window:2", "ewma:0.5"],
+                             ids=["last", "window", "ewma"])
     @pytest.mark.parametrize("observed", [
         np.empty((0, 2)),  # no days
         np.empty((3, 0)),  # no states
@@ -83,28 +139,29 @@ class TestWeights:
         np.array([[1.0, np.nan], [2.0, 1.0]]),
         np.array([[1.0, 2.0], [np.inf, 1.0]]),
     ], ids=["no-days", "no-states", "empty-1d", "1d", "3d", "scalar", "nan", "inf"])
-    def test_malformed_history(self, observed, mode):
+    def test_malformed_history(self, observed, rule):
+        # refused as input, before any rule scores it
         with pytest.raises(ValidationError):
-            compute_weights_history(observed, np.zeros_like(observed), mode=mode)
+            weights(observed, np.zeros_like(observed), rule)
         with pytest.raises(ValidationError):
-            compute_weights_history(np.zeros_like(observed), observed, mode=mode)
+            weights(np.zeros_like(observed), observed, rule)
 
 
 class TestDiscrepancy:
     def test_zero(self):
         inp = build_input()
-        assert adjust_forecasts(inp, last_point_weights(inp)).discrepancy == 0.0
+        assert adjust_forecasts(inp).discrepancy == 0.0
 
     def test_subtraction(self):
         inp = build_input(national=110.0)
-        result = adjust_forecasts(inp, last_point_weights(inp))
+        result = adjust_forecasts(inp)
         assert result.discrepancy == pytest.approx(10.0, abs=1e-12)
 
 
 class TestAdjust:
     def test_zero_discrepancy_is_noop(self):
         inp = build_input()
-        result = adjust_forecasts(inp, last_point_weights(inp))
+        result = adjust_forecasts(inp)
         assert np.array_equal(result.corrected_state_forecasts, [40.0, 60.0])
         assert result.corrected_national_forecast == 100.0
         assert result.corrected_national_forecast == pytest.approx(
@@ -116,12 +173,12 @@ class TestAdjust:
         inp = AdjustmentInput(
             state_forecasts=np.array([40.0, 60.0, 100.0]),
             national_forecast=210.0,
-            last_observed_states=np.array([11.0, 12.0, 13.0]),
-            last_fitted_states=np.array([10.0, 10.0, 10.0]),
+            observed_states=np.array([[11.0, 12.0, 13.0]]),
+            fitted_states=np.array([[10.0, 10.0, 10.0]]),
             last_observed_national=32.0,
             last_fitted_national=30.0,
         )
-        result = adjust_forecasts(inp, last_point_weights(inp))
+        result = adjust_forecasts(inp)
         assert result.branch == DISTRIBUTE_TO_STATES
         assert result.discrepancy == pytest.approx(10.0, abs=1e-12)
         expected = np.array([40 + 10 / 14, 60 + 40 / 14, 100 + 90 / 14])
@@ -135,12 +192,12 @@ class TestAdjust:
         inp = AdjustmentInput(
             state_forecasts=np.array([40.0, 60.0]),
             national_forecast=110.0,
-            last_observed_states=np.array([12.0, 13.0]),
-            last_fitted_states=np.array([10.0, 10.0]),
+            observed_states=np.array([[12.0, 13.0]]),
+            fitted_states=np.array([[10.0, 10.0]]),
             last_observed_national=39.0,
             last_fitted_national=30.0,
         )
-        result = adjust_forecasts(inp, last_point_weights(inp))
+        result = adjust_forecasts(inp)
         assert result.branch == NATIONAL_FOLLOWS_STATES
         assert result.corrected_national_forecast == pytest.approx(100.0, abs=1e-12)
         assert np.array_equal(result.corrected_state_forecasts, [40.0, 60.0])
@@ -152,12 +209,12 @@ class TestAdjust:
             inp = AdjustmentInput(
                 state_forecasts=rng.normal(50, 20, size=n),
                 national_forecast=float(rng.normal(50 * n, 30)),
-                last_observed_states=rng.normal(50, 20, size=n),
-                last_fitted_states=rng.normal(50, 20, size=n),
+                observed_states=rng.normal(50, 20, size=(1, n)),
+                fitted_states=rng.normal(50, 20, size=(1, n)),
                 last_observed_national=float(rng.normal(50 * n, 30)),
                 last_fitted_national=float(rng.normal(50 * n, 30)),
             )
-            result = adjust_forecasts(inp, last_point_weights(inp))
+            result = adjust_forecasts(inp)
             assert abs(result.weights.sum() - 1.0) < 1e-12
             assert result.corrected_national_forecast == pytest.approx(
                 float(result.corrected_state_forecasts.sum()), abs=1e-9
@@ -172,8 +229,8 @@ class TestAdjust:
         inp = AdjustmentInput(
             state_forecasts=np.array([40.0, 60.0, 100.0]),
             national_forecast=210.0,
-            last_observed_states=np.array([11.0, 12.0, 13.0]),
-            last_fitted_states=np.array([10.0, 10.0, 10.0]),
+            observed_states=np.array([[11.0, 12.0, 13.0]]),
+            fitted_states=np.array([[10.0, 10.0, 10.0]]),
             last_observed_national=32.0,
             last_fitted_national=30.0,
         )
@@ -181,13 +238,13 @@ class TestAdjust:
         scaled = AdjustmentInput(
             state_forecasts=c * inp.state_forecasts,
             national_forecast=c * inp.national_forecast,
-            last_observed_states=c * inp.last_observed_states,
-            last_fitted_states=c * inp.last_fitted_states,
+            observed_states=c * inp.observed_states,
+            fitted_states=c * inp.fitted_states,
             last_observed_national=c * inp.last_observed_national,
             last_fitted_national=c * inp.last_fitted_national,
         )
-        base = adjust_forecasts(inp, last_point_weights(inp))
-        result = adjust_forecasts(scaled, last_point_weights(scaled))
+        base = adjust_forecasts(inp)
+        result = adjust_forecasts(scaled)
         assert result.branch == base.branch
         assert np.allclose(
             result.corrected_state_forecasts,
@@ -198,23 +255,13 @@ class TestAdjust:
             c * base.corrected_national_forecast, rel=1e-12
         )
 
-    def test_weight_override(self):
-        inp = build_input(national=110.0)
-        result = adjust_forecasts(inp, weights=np.array([0.25, 0.75]))
-        assert result.branch == DISTRIBUTE_TO_STATES
-        assert np.allclose(
-            result.corrected_state_forecasts, [42.5, 67.5], atol=1e-12
-        )
-        with pytest.raises(ValidationError):
-            adjust_forecasts(inp, weights=np.array([0.5, 0.6]))
-
     def test_input_validation(self):
         with pytest.raises(ValidationError):
             AdjustmentInput(
                 state_forecasts=np.array([1.0]),
                 national_forecast=np.nan,
-                last_observed_states=np.array([1.0]),
-                last_fitted_states=np.array([1.0]),
+                observed_states=np.array([[1.0]]),
+                fitted_states=np.array([[1.0]]),
                 last_observed_national=1.0,
                 last_fitted_national=1.0,
             )
@@ -222,8 +269,8 @@ class TestAdjust:
             AdjustmentInput(
                 state_forecasts=np.empty(0),
                 national_forecast=1.0,
-                last_observed_states=np.empty(0),
-                last_fitted_states=np.empty(0),
+                observed_states=np.empty((1, 0)),
+                fitted_states=np.empty((1, 0)),
                 last_observed_national=1.0,
                 last_fitted_national=1.0,
             )

@@ -749,12 +749,13 @@ class TestFailureModes:
 
 
 @functools.cache
-def short_input(command, scale=1.0):
-    """The first 44 days of the command's fixture, the fewest on which every
-    origin of monitor fits a hybrid, with every count times ``scale``."""
+def short_input(command, scale=1.0, days=44):
+    """The first ``days`` days of the command's fixture, by default 44, the
+    fewest on which every origin of monitor fits a hybrid, with every count
+    times ``scale``."""
     def short(series):
-        return UnivariateSeries(series.name, series.dates[:44],
-                                scale * series.values[:44])
+        return UnivariateSeries(series.name, series.dates[:days],
+                                scale * series.values[:days])
 
     if command == "adjust":
         full = load_india_panel()
@@ -764,12 +765,13 @@ def short_input(command, scale=1.0):
 
 
 @functools.cache
-def max_scale_exponent():
+def max_scale_exponent(days=44):
     """The largest e for which 10**e times every count of every command's
-    short input is finite."""
-    panel = short_input("adjust")
+    short input of ``days`` days is finite."""
+    panel = short_input("adjust", days=days)
     peak = max(float(np.max(np.abs(s.values)))
-               for s in (short_input("forecast"), panel.national, *panel.states))
+               for s in (short_input("forecast", days=days), panel.national,
+                         *panel.states))
     e = int(np.log10(np.finfo(float).max / peak))
     assert np.isfinite(10.0**e * peak)
     return e
@@ -875,6 +877,27 @@ class TestArbitraryInput:
                     code = exc.code
         event(f"{command} x{scale:g} exit {code}")
         assert code in (0, 1, 2), err.getvalue()
+        assert err.getvalue().count("error:") <= 1, err.getvalue()
+
+    @settings(max_examples=10, deadline=None)
+    @given(days=st.integers(60, 120), data=st.data())
+    def test_monitor_on_longer_input_exits_zero_or_one(self, days, data):
+        # monitor on the fixture's first 60-120 days, at any scale up to the
+        # largest finite one: exit 0 or 1 with at most one "error:" line;
+        # any other exception, or a numpy warning, fails the test
+        exponent = data.draw(st.integers(0, max_scale_exponent(days)),
+                             label="scale exponent")
+        scale = 10.0**exponent
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.csv"
+            short_input("monitor", scale, days).to_csv(path)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = run(["monitor", "--input", path, "--epochs=2",
+                            "--repeats=1", "--out", Path(tmp) / "out"])
+        event(f"{days} days x{scale:g} exit {code}")
+        assert code in (0, 1), err.getvalue()
         assert err.getvalue().count("error:") <= 1, err.getvalue()
 
     @settings(max_examples=50, deadline=None)
