@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the SHA-256 of every output of the five CLI commands on the
-committed fixtures, ``adjust`` under each weight rule, so that two
-checkouts can be compared with one ``diff``.
+committed fixtures, ``adjust`` under each weight rule and ``forecast`` with
+``arima`` too, so that two checkouts can be compared with one ``diff``.
 
 Each command runs in a fresh process on this checkout's ``src`` with
 ``--seed 42`` and its own output directory. The digests of its ``--out``
@@ -29,7 +29,9 @@ SERIES = "india_confirmed.csv"
 PANEL = "india_panel.csv"
 
 # (label, command, fixture, extra flags); the label names the output lines.
-# adjust runs once per weight rule, so that a diff covers every rule
+# adjust runs once per weight rule, so that a diff covers every rule, and
+# forecast once more with arima: its order sweep and MA-kernel forecast
+# outside monitor
 RUNS = [
     ("forecast", "forecast", SERIES, ["--horizon", "7", "--svg"]),
     ("adjust", "adjust", PANEL, []),
@@ -38,6 +40,7 @@ RUNS = [
     ("monitor", "monitor", SERIES, ["--svg"]),
     ("adjust[window:3]", "adjust", PANEL, ["--weight-mode", "window:3"]),
     ("adjust[ewma:0.9]", "adjust", PANEL, ["--weight-mode", "ewma:0.9"]),
+    ("forecast[arima]", "forecast", SERIES, ["--model", "arima"]),
 ]
 
 

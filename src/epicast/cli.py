@@ -5,9 +5,9 @@ Subcommands: ``forecast``, ``adjust``, ``monitor``, ``shelflife``, ``r0``.
 Every run is deterministic given the input file, flags and ``--seed``
 (default 42): randomness derives from the seed as documented per module
 (per-origin ``seed + T`` in the monitor, per-component ``seed + k`` in the
-residual networks). Commands compute everything first and write all output
-files last, so a failing run leaves no partial outputs. Set ``EPICAST_LOG``
-to ``debug``/``info`` for progress logging.
+residual networks). Commands return their output files and stdout text,
+and ``main`` writes them, files first, so a failing run leaves no partial
+outputs. Set ``EPICAST_LOG`` to ``debug``/``info`` for progress logging.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import errno
 import logging
 import os
 import sys
+import warnings
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
@@ -123,7 +124,7 @@ def _parse_growth_window(text: str) -> tuple[int, int]:
     return start, stop
 
 
-def cmd_forecast(args) -> list[Path]:
+def cmd_forecast(args) -> tuple[dict, str]:
     series = parse_series_csv(args.input)
     check_horizon(args.horizon)  # fail before the fit, not after it
     (model,) = fit_tagged_models(series, [args.model], _tdnn_config(args)).values()
@@ -141,10 +142,10 @@ def cmd_forecast(args) -> list[Path]:
             {series.name: history, f"{args.model} forecast": points},
             f"{args.model} forecast for {series.name}",
         )
-    return _emit(Path(args.out), {"forecast.csv": rows, "forecast.svg": chart})
+    return {"forecast.csv": rows, "forecast.svg": chart}, ""
 
 
-def cmd_adjust(args) -> list[Path]:
+def cmd_adjust(args) -> tuple[dict, str]:
     panel = parse_panel_csv(args.input)
     config = _tdnn_config(args)
     adjust_mod.parse_weight_rule(args.weight_mode)  # fail before any fit
@@ -196,13 +197,11 @@ def cmd_adjust(args) -> list[Path]:
         ]
     )
     exclusions = "".join(f"{name}: {reason}\n" for name, reason in excluded)
-    written = _emit(Path(args.out), {"adjustment.csv": rows,
-                                     "exclusions.txt": exclusions or None})
-    print(f"branch: {adjustment.branch}")
-    return written
+    return ({"adjustment.csv": rows, "exclusions.txt": exclusions or None},
+            f"branch: {adjustment.branch}\n")
 
 
-def cmd_monitor(args) -> list[Path]:
+def cmd_monitor(args) -> tuple[dict, str]:
     series = parse_series_csv(args.input)
     models = _split_tags(args.model)
     report = monitor(series, models, k=args.window, config=_tdnn_config(args))
@@ -230,18 +229,13 @@ def cmd_monitor(args) -> list[Path]:
             },
             f"moving-window metric, k={report.k}",
         )
-    written = _emit(Path(args.out), {
-        "monitor.csv": metric_rows,
-        "dominance.csv": dominance_rows,
-        "timeline.csv": timeline_rows,
-        "monitor.svg": chart,
-    })
-    print(f"mode winner: {report.mode_winner}")
-    print(f"recency-weighted winner: {report.weighted_winner}")
-    return written
+    files = {"monitor.csv": metric_rows, "dominance.csv": dominance_rows,
+             "timeline.csv": timeline_rows, "monitor.svg": chart}
+    return files, (f"mode winner: {report.mode_winner}\n"
+                   f"recency-weighted winner: {report.weighted_winner}\n")
 
 
-def cmd_shelflife(args) -> list[Path]:
+def cmd_shelflife(args) -> tuple[dict, str]:
     series = parse_series_csv(args.input)
     train_len = args.train_len if args.train_len is not None else len(series) // 2
     result = shelf_life(series, train_len, model=args.model,
@@ -265,13 +259,10 @@ def cmd_shelflife(args) -> list[Path]:
         f"intercept: {result.intercept!r}\n"
         f"crossing_t: {result.crossing_t!r}\n" + verdict
     )
-    written = _emit(Path(args.out), {"ape.csv": ape_rows,
-                                     "shelflife.txt": text})
-    print(verdict, end="")
-    return written
+    return {"ape.csv": ape_rows, "shelflife.txt": text}, verdict
 
 
-def cmd_r0(args) -> list[Path]:
+def cmd_r0(args) -> tuple[dict, str]:
     window = None
     if args.growth_window is not None:
         window = _parse_growth_window(args.growth_window)
@@ -287,12 +278,11 @@ def cmd_r0(args) -> list[Path]:
         [series.name, "sir", _fmt(sir.r0_sir), "", "",
          _fmt(sir.trajectory_mse)],
     ]
-    written = _emit(Path(args.out), {"r0.csv": rows})
-    print(f"growth r0: {growth.r0!r}  sir r0: {sir.r0_sir!r}")
-    return written
+    return ({"r0.csv": rows},
+            f"growth r0: {growth.r0!r}  sir r0: {sir.r0_sir!r}\n")
 
 
-def _emit(out_dir: Path, files: dict) -> list[Path]:
+def _emit(out_dir: Path, files: dict) -> None:
     """Write one run's output files into ``out_dir``, all or nothing; the
     directory is created as needed.
 
@@ -334,7 +324,6 @@ def _emit(out_dir: Path, files: dict) -> list[Path]:
     for path in stale:
         path.unlink()
         log.info("removed stale %s", path)
-    return targets
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,7 +398,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        with warnings.catch_warnings():  # one log line per warning
+            warnings.showwarning = lambda message, *_: log.warning("%s", message)
+            files, stdout = args.func(args)
+            _emit(Path(args.out), files)
+        sys.stdout.write(stdout)
     except (EpicastError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

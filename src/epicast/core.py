@@ -3,7 +3,8 @@
 All types are immutable after construction and safe to share across threads.
 CSV schemas: ``date,value`` for a single series and
 ``date,<national>,<state1>,<state2>,...`` for a panel; ISO-8601 dates,
-UTF-8, ``.`` decimal separator, no thousands separators.
+UTF-8 (a leading byte-order mark is dropped), ``.`` decimal separator, no
+thousands separators.
 """
 
 from __future__ import annotations
@@ -48,7 +49,20 @@ def _rebuild(cls, fields: dict):
     return obj
 
 
-class UnivariateSeries:
+class _Frozen:
+    """Slots set once, by ``__init__`` through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        fields = {key: getattr(self, key) for key in self.__slots__}
+        return _rebuild, (type(self), fields)
+
+
+class UnivariateSeries(_Frozen):
     """A named daily count series on a gap-free, strictly increasing date index.
 
     Negative values are accepted but flagged via ``has_negatives`` and a
@@ -96,13 +110,6 @@ class UnivariateSeries:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "has_negatives", has_neg)
 
-    def __setattr__(self, key, value):
-        raise AttributeError("UnivariateSeries is immutable")
-
-    def __reduce__(self):
-        fields = {key: getattr(self, key) for key in self.__slots__}
-        return _rebuild, (type(self), fields)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -140,14 +147,10 @@ class UnivariateSeries:
 
     def to_csv(self, path) -> None:
         """Write the ``date,value`` schema; inverse of :func:`parse_series_csv`."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "value"])
-            for d, v in zip(self.dates, self.values):
-                writer.writerow([d.isoformat(), _format_value(v)])
+        _write_table(path, ["value"], self.dates, self.values[:, None])
 
 
-class HierarchicalPanel:
+class HierarchicalPanel(_Frozen):
     """A national series plus n state series on one shared date index.
 
     The per-date consistency defect ``national - sum(states)`` is computed
@@ -180,13 +183,6 @@ class HierarchicalPanel:
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "defect", defect)
 
-    def __setattr__(self, key, value):
-        raise AttributeError("HierarchicalPanel is immutable")
-
-    def __reduce__(self):
-        fields = {key: getattr(self, key) for key in self.__slots__}
-        return _rebuild, (type(self), fields)
-
     @property
     def n(self) -> int:
         return len(self.states)
@@ -204,15 +200,9 @@ class HierarchicalPanel:
 
     def to_csv(self, path) -> None:
         """Write the panel schema; inverse of :func:`parse_panel_csv`."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["date", self.national.name] + [s.name for s in self.states]
-            )
-            for i, d in enumerate(self.national.dates):
-                row = [d.isoformat(), _format_value(self.national.values[i])]
-                row += [_format_value(s.values[i]) for s in self.states]
-                writer.writerow(row)
+        series = (self.national, *self.states)
+        _write_table(path, [s.name for s in series], self.national.dates,
+                     np.column_stack([s.values for s in series]))
 
 
 def _format_value(v: float) -> str:
@@ -222,16 +212,14 @@ def _format_value(v: float) -> str:
     return repr(f)
 
 
-def _read_rows(path):
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ParseError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        try:
-            return list(csv.reader(fh))
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+def _write_table(path, names, dates, columns) -> None:
+    """Write a ``date,<name>...`` header, then one row per date of
+    ``columns`` (days x names); inverse of :func:`_read_table`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", *names])
+        for d, row in zip(dates, columns):
+            writer.writerow([d.isoformat(), *map(_format_value, row)])
 
 
 def _parse_date(text: str, line_no: int):
@@ -248,12 +236,42 @@ def _parse_number(text: str, line_no: int) -> float:
         raise ParseError(f"line {line_no}: bad number {text!r}") from exc
 
 
-def _check_duplicates(dated_rows, label: str):
-    seen = set()
-    for d, _ in dated_rows:
-        if d in seen:
-            raise ValidationError(f"{label}: duplicated date {d.isoformat()}")
-        seen.add(d)
+def _read_table(path, header_error):
+    """Read a ``date,<column>...`` file into its stripped header cells, its
+    dates and a (days x columns) array, with rows sorted by date.
+
+    ``header_error(header)`` gives the message for a header the schema
+    refuses, or ``None``; ``header`` is ``None`` for an empty file.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot open {path}: {exc}") from exc
+    with fh:
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+    header = [c.strip() for c in rows[0]] if rows else None
+    message = header_error(header)
+    if message is not None:
+        raise ParseError(f"{path}: {message}")
+    width = len(header)
+    dated = []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise ParseError(f"line {line_no}: expected {width} fields, "
+                             f"got {len(row)}")
+        d = _parse_date(row[0], line_no)
+        dated.append((d, [_parse_number(cell, line_no) for cell in row[1:]]))
+    dated.sort(key=lambda pair: pair[0])
+    for (prev, _), (d, _) in zip(dated, dated[1:]):
+        if d == prev:
+            raise ValidationError(
+                f"{Path(path).stem}: duplicated date {d.isoformat()}")
+    columns = np.array([vals for _, vals in dated], dtype=float).reshape(
+        len(dated), width - 1)  # a header alone gives empty columns
+    return header, [d for d, _ in dated], columns
 
 
 def parse_series_csv(path) -> UnivariateSeries:
@@ -262,49 +280,26 @@ def parse_series_csv(path) -> UnivariateSeries:
     Rows are sorted by date before validation; the series name is the
     file stem.
     """
-    rows = _read_rows(path)
-    if not rows or [c.strip() for c in rows[0]] != ["date", "value"]:
-        raise ParseError(f"{path}: expected header 'date,value'")
-    name = Path(path).stem
-    dated = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ParseError(f"line {line_no}: expected 2 fields, got {len(row)}")
-        dated.append((_parse_date(row[0], line_no), _parse_number(row[1], line_no)))
-    dated.sort(key=lambda pair: pair[0])
-    _check_duplicates(dated, name)
-    return UnivariateSeries(name, [d for d, _ in dated], [v for _, v in dated])
+    _, dates, columns = _read_table(
+        path, lambda header: None if header == ["date", "value"]
+        else "expected header 'date,value'")
+    return UnivariateSeries(Path(path).stem, dates, columns[:, 0])
+
+
+def _panel_header_error(header):
+    if header is None:
+        return "empty file"
+    if len(header) < 3 or header[0] != "date":
+        return ("expected header 'date,<national>,<state>...' with at "
+                "least two data columns")
 
 
 def parse_panel_csv(path) -> HierarchicalPanel:
     """Parse the panel schema: first data column national, rest states."""
-    rows = _read_rows(path)
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if len(header) < 3 or header[0] != "date":
-        raise ParseError(
-            f"{path}: expected header 'date,<national>,<state>...' with at "
-            f"least two data columns"
-        )
-    width = len(header)
-    dated = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ParseError(
-                f"line {line_no}: expected {width} fields, got {len(row)}"
-            )
-        d = _parse_date(row[0], line_no)
-        vals = [_parse_number(cell, line_no) for cell in row[1:]]
-        dated.append((d, vals))
-    dated.sort(key=lambda pair: pair[0])
-    _check_duplicates(dated, Path(path).stem)
-    dates = [d for d, _ in dated]
-    columns = np.array([vals for _, vals in dated], dtype=float).reshape(
-        len(dated), width - 1)  # a header alone gives empty columns
+    header, dates, columns = _read_table(path, _panel_header_error)
     series = [
-        UnivariateSeries(header[j + 1], dates, columns[:, j])
-        for j in range(width - 1)
+        UnivariateSeries(name, dates, columns[:, j])
+        for j, name in enumerate(header[1:])
     ]
     return HierarchicalPanel(series[0], series[1:])
 

@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import datetime
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from epicast import cli
 from epicast.cli import build_parser, cmd_adjust, main
 from epicast.core import (
     HierarchicalPanel,
@@ -143,6 +145,18 @@ class TestForecastCommand:
         assert title.text == "holt forecast for a&b<c"
         ElementTree.parse(out / "monitor.svg")
 
+    def test_byte_order_mark_gives_the_plain_bytes(self, tmp_path):
+        plain = fixture_path("india_confirmed.csv")
+        marked = tmp_path / "marked" / plain.name
+        marked.parent.mkdir()
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        for path, out in ((plain, "a"), (marked, "b")):
+            assert run(["forecast", "--input", path, "--svg", *FAST_FLAGS,
+                        "--out", tmp_path / out]) == 0
+        for name in ("forecast.csv", "forecast.svg"):
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name).read_bytes()
+
     def test_rerun_removes_stale_svg(self, tmp_path):
         path = write_series_csv(tmp_path, linear_series(40))
         out = tmp_path / "out"
@@ -227,20 +241,19 @@ class TestAdjustCommand:
             return holt_fit(series)
 
         monkeypatch.setattr(forecasters, "holt_fit", flaky_holt_fit)
-        out = tmp_path / "out"
         args = SimpleNamespace(
-            input=str(path), model="holt", seed=1, out=str(out),
+            input=str(path), model="holt", seed=1,
             lags=None, hidden=None, repeats=None, epochs=None,
             weight_mode="last",
         )
-        cmd_adjust(args)
-        rows = read_csv(out / "adjustment.csv")
+        files, _ = cmd_adjust(args)
+        rows = files["adjustment.csv"]
         names = [r[0] for r in rows[1:-1]]
         assert "kerala" not in names
         assert len(names) == panel.n - 1
         weights = [float(r[2]) for r in rows[1:-1]]
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
-        assert "kerala" in (out / "exclusions.txt").read_text()
+        assert "kerala" in files["exclusions.txt"]
 
     def test_state_with_too_many_lags_is_excluded(self, tmp_path, panel,
                                                    monkeypatch):
@@ -260,16 +273,56 @@ class TestAdjustCommand:
 
         monkeypatch.setattr(hybrid.HybridForecaster, "_fit_base",
                             kerala_with_302_lags)
-        out = tmp_path / "out"
         args = SimpleNamespace(
-            input=str(path), model="holt-wbann", seed=1, out=str(out),
+            input=str(path), model="holt-wbann", seed=1,
             lags=None, hidden=None, repeats=1, epochs=5,
             weight_mode="last",
         )
-        cmd_adjust(args)
-        names = [r[0] for r in read_csv(out / "adjustment.csv")[1:-1]]
+        files, _ = cmd_adjust(args)
+        names = [r[0] for r in files["adjustment.csv"][1:-1]]
         assert names == [s.name for s in panel.states if s.name != "kerala"]
-        assert "lags = 302" in (out / "exclusions.txt").read_text()
+        assert "lags = 302" in files["exclusions.txt"]
+
+
+class TestPureCommands:
+    # each command returns its files and its stdout text; main writes both
+    @pytest.mark.parametrize("argv", [
+        ["forecast", "--svg"],
+        ["adjust"],
+        ["monitor", "--model", "holt,holt-wbann", "--svg"],
+        ["shelflife"],
+        ["r0"],
+    ], ids=lambda argv: argv[0])
+    def test_command_returns_what_main_writes(self, tmp_path, capsys,
+                                              monkeypatch, argv):
+        fixture = "india_panel.csv" if argv[0] == "adjust" else (
+            "india_confirmed.csv")
+        argv = [*argv, "--input", fixture_path(fixture)]
+        if argv[0] != "r0":
+            argv += ["--epochs", 2, "--repeats", 1]
+        out = tmp_path / "out"
+        command, returned = getattr(cli, f"cmd_{argv[0]}"), []
+
+        def pure(args):
+            returned.append(command(args))
+            assert capsys.readouterr().out == ""
+            assert not any(tmp_path.iterdir())  # --out is not made yet
+            return returned[-1]
+
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", pure)
+        assert run([*argv, "--out", out]) == 0
+        (files, stdout), = returned
+        assert capsys.readouterr().out == stdout
+        assert (stdout == "") == (argv[0] == "forecast")
+        written = {p.name: p for p in out.iterdir()}
+        assert sorted(written) == sorted(
+            name for name, contents in files.items() if contents is not None)
+        for name, contents in files.items():
+            if isinstance(contents, str):
+                assert written[name].read_text(encoding="utf-8") == contents
+            elif contents is not None:
+                assert read_csv(written[name]) == [
+                    [str(cell) for cell in row] for row in contents]
 
 
 class TestMonitorCommand:
@@ -728,6 +781,20 @@ class TestFailureModes:
                     "--epochs", 2, "--out", out]) == 1
         assert_one_error_line(capsys)
         assert not out.exists()
+
+    def test_negative_count_warns_in_one_line(self, tmp_path):
+        # the library raises NegativeValueWarning; the command logs it
+        lines = fixture_path("india_confirmed.csv").read_text().splitlines()
+        lines[100] = lines[100].split(",")[0] + ",-5"
+        path = tmp_path / "neg.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        done = self.run_in_fresh_process("forecast", "--model", "holt",
+                                         "--input", path, "--out", out)
+        assert done.returncode == 0, done.stderr
+        assert (out / "forecast.csv").exists()
+        assert done.stderr == (
+            "WARNING:epicast:neg: series contains negative values\n")
 
     def test_log_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EPICAST_LOG", "debug")

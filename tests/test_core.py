@@ -1,3 +1,4 @@
+import codecs
 import copy
 import datetime
 import pickle
@@ -14,6 +15,7 @@ from epicast.core import (
     HierarchicalPanel,
     NegativeValueWarning,
     UnivariateSeries,
+    fixture_path,
     parse_panel_csv,
     parse_series_csv,
 )
@@ -148,6 +150,19 @@ class TestParsePanel:
         out = tmp_path / "india_panel.csv"
         panel.to_csv(out)
         assert parse_panel_csv(out) == panel
+
+
+class TestByteOrderMark:
+    # a spreadsheet's "CSV UTF-8" starts the file with a byte-order mark
+    @pytest.mark.parametrize("fixture, parse", [
+        ("india_confirmed.csv", parse_series_csv),
+        ("india_panel.csv", parse_panel_csv),
+    ])
+    def test_parses_as_the_plain_file(self, tmp_path, fixture, parse):
+        plain = fixture_path(fixture)
+        marked = tmp_path / fixture
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert parse(marked) == parse(plain)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
