@@ -23,15 +23,27 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import UnivariateSeries
 from .errors import FitError, InsufficientDataError, ValidationError
-from .simplex import nelder_mead
 
 PARAM_GRID = np.arange(1, 101) / 100.0  # 0.01 .. 1.00
 MAX_ARMA_ORDER = 5
 MAX_DIFF = 2
-SELECTION_BUDGET = 30  # Nelder-Mead evaluations per parameter while ranking orders
+# The CSS fit keeps every MA pole within this radius: near the unit circle
+# the conditional sum of squares falls spuriously, and such fits won the
+# AIC sweep on white noise
+MA_RADIUS = 0.99
+# Levenberg-Marquardt settings of the CSS fit
+LM_START_DAMPING = 1e-3
+LM_MIN_RATIO = 0.25  # least share of the predicted SSE drop a step must gain
+LM_GTOL = 1e-8  # a scaled gradient this small is a minimum
+LM_FTOL = 1e-8  # a smaller relative gain ends the fit, once ...
+LM_GAIN_GTOL = 1e-4  # ... the scaled gradient is below this
+LM_XTOL = 1e-8  # a step this much shorter than the coefficients ends it
+LM_MAX_DAMPING = 1e10
+LM_MAX_TRIALS = 50
 MAX_HORIZON = 100_000  # days: centuries past any use
 
 
@@ -243,9 +255,10 @@ def _linear_filter():
     For a float64 ``a = [1, theta...]`` with ``len(a) > 1``,
     ``kernel(_FILTER_NUMERATOR, a, u, -1)`` is ``signal.lfilter([1.0], a, u)``
     bit for bit: lfilter's public wrapper only checks its arguments and then
-    makes exactly this call. The CSS search filters hundreds of thousands of
-    times, and the wrapper's checks and array-API dispatch took longer than
-    the filter itself.
+    makes exactly this call. Given an (n, k) block and axis 0, it filters
+    each column, as the CSS Jacobian needs. The CSS fit filters tens of
+    thousands of times, and the wrapper's checks and array-API dispatch
+    took longer than the filter itself.
     """
     module = sys.modules.get(_KERNEL_MODULE)
     if module is None:
@@ -267,11 +280,32 @@ def _ols(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
     return coef, float(resid @ resid)
 
 
+_RADIUS_SCALE = MA_RADIUS ** -np.arange(1.0, MAX_ARMA_ORDER + 1)
+
+
+def _ma_admissible(theta: np.ndarray) -> bool:
+    """Whether every pole of the innovations filter ``1 / (1 + theta_1 B +
+    ... + theta_q B^q)`` lies within ``MA_RADIUS``: the step-down
+    (Schur-Cohn) recursion on the coefficients scaled to that radius,
+    whose reflection coefficients must all lie in (-1, 1)."""
+    a = (theta * _RADIUS_SCALE[: len(theta)]).tolist()
+    for m in range(len(a), 0, -1):
+        k = a[m - 1]
+        if not -1.0 < k < 1.0:  # NaN fails too
+            return False
+        s = 1.0 - k * k
+        a = [(a[i] - k * a[m - 2 - i]) / s for i in range(m - 1)]
+    return True
+
+
 def _hannan_rissanen_start(
     w: np.ndarray, p: int, q: int, intercept: bool
 ) -> np.ndarray | None:
     """Warm start for mixed models: proxy shocks from a long AR fit, then a
-    joint regression on lagged values and lagged shocks."""
+    joint regression on lagged values and lagged shocks. MA poles that this
+    regression puts outside the unit circle are reflected into it, and any
+    pole still beyond ``MA_RADIUS`` is pulled in to it, so that the start
+    is one that :func:`css_fit` may take."""
     k = min(max(2 * (p + q), 4), len(w) // 3)
     if len(w) - k < p + q + 3:
         return None
@@ -291,7 +325,125 @@ def _hannan_rissanen_start(
     coef2, _ = _ols(design2, target)
     if not np.all(np.isfinite(coef2)):
         return None
-    return coef2  # layout [c?, phi..., theta...] matches the objective
+    if q and not _ma_admissible(coef2[-q:]):
+        # the innovations filter's poles: the roots of z^q + theta_1 z^(q-1)
+        # + ... + theta_q
+        poles = np.roots(np.concatenate([[1.0], coef2[-q:]]))
+        poles = np.where(np.abs(poles) > 1.0, 1.0 / poles.conj(), poles)
+        radius = np.abs(poles)
+        poles = np.where(radius > MA_RADIUS, poles * (MA_RADIUS / radius),
+                         poles)
+        coef2[-q:] = np.poly(poles)[1:].real
+    return coef2  # layout [c?, phi..., theta...] matches css_fit's
+
+
+def _css_problem(w: np.ndarray, p: int, q: int, intercept: bool, burn: int):
+    """The conditional innovations of an ARMA(p, q) on ``w[burn:]``, given
+    zero shocks before it, as functions of ``x = [c?, phi..., theta...]``.
+
+    Returns ``(design, target, innovations, jacobian)``: ``design`` holds
+    the columns ``[1?, w lags]`` and ``target`` is ``w[burn:]``.
+    ``innovations(x)`` gives a new array. ``jacobian(x, e)``, for ``e =
+    innovations(x)`` and ``q > 0``, gives minus the Jacobian: the MA filter
+    applied to the columns ``[1?, w lags, e lags]``, with e zero before the
+    window (Box, Jenkins, Reinsel & Ljung, *Time Series Analysis*, ch. 7).
+    """
+    target = w[burn:]
+    n_eff = len(target)
+    design = _lag_matrix(w, p, burn)
+    if intercept:
+        design = np.column_stack([np.ones(n_eff), design])
+    k = design.shape[1]
+    ma_poly = np.ones(q + 1)  # [1, theta...], theta refilled on every call
+    linear_filter = _linear_filter() if q else None  # bound once
+    block = np.zeros((n_eff, k + q))  # only the e lags are refilled
+    block[:, :k] = design
+
+    def innovations(x: np.ndarray) -> np.ndarray:
+        u = target - design @ x[:k] if k else target.copy()
+        if q:
+            ma_poly[1:] = x[k:]
+            u = linear_filter(_FILTER_NUMERATOR, ma_poly, u, -1)
+        return u
+
+    def jacobian(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+        for j in range(1, q + 1):
+            block[j:, k + j - 1] = e[:-j]
+        ma_poly[1:] = x[k:]
+        return linear_filter(_FILTER_NUMERATOR, ma_poly, block, 0)
+
+    return design, target, innovations, jacobian
+
+
+def _marquardt(innovations, jacobian, x: np.ndarray, sse: float,
+               q: int) -> tuple[np.ndarray, float]:
+    """Levenberg-Marquardt descent on the sum of squared innovations from
+    ``x``, whose SSE ``sse`` is finite; returns the best point and its SSE.
+
+    Each trial step solves the damped normal equations
+    ``(A + lam * diag(A)) step = -J'e``, with ``A = J'J`` (Marquardt, SIAM
+    J. Appl. Math. 11(2), 1963). A step that gains at least
+    ``LM_MIN_RATIO`` of the SSE drop the linearised model predicts is
+    taken and ``lam`` falls tenfold; otherwise ``lam`` rises tenfold.
+
+    The last ``q`` entries of ``x`` are the MA coefficients, and a trial
+    point whose MA poles leave ``MA_RADIUS`` is refused unscored.
+
+    The scaled gradient is the largest cosine between the innovations and
+    a Jacobian column. The fit stops when it falls to ``LM_GTOL``; when a
+    step gains less than ``LM_FTOL`` of the SSE while it is below
+    ``LM_GAIN_GTOL``, so a slow step far from a minimum does not end the
+    fit; when a step's norm is below ``LM_XTOL`` of the coefficients', as
+    on the edge of ``MA_RADIUS``; when ``lam`` passes ``LM_MAX_DAMPING``;
+    or after ``LM_MAX_TRIALS`` trial steps.
+    """
+    e = innovations(x)
+    k = len(x)
+    damped = np.empty((k, k))
+    damped_diagonal = np.einsum("ii->i", damped)  # a writable view
+    lam = LM_START_DAMPING
+    fresh = True
+    for _ in range(LM_MAX_TRIALS):
+        if fresh:
+            if sse == 0.0:
+                break
+            jac = jacobian(x, e)
+            normal = jac.T @ jac
+            rhs = jac.T @ e  # minus the half-gradient
+            scale = normal.diagonal()
+            scale = np.where(scale > 0.0, scale, 1.0)
+            cosine2 = float((rhs * rhs / scale).max()) / sse
+            # NaN fails the test too: a non-finite Jacobian ends the fit
+            if not cosine2 > LM_GTOL * LM_GTOL:
+                break
+            fresh = False
+        np.copyto(damped, normal)
+        damped_diagonal += lam * scale
+        # np.linalg.solve without its wrapper; a singular system gives a
+        # NaN step, whose SSE is NaN and is refused
+        step = _umath_linalg.solve1(damped, rhs, signature="dd->d")
+        trial = x + step
+        if not _ma_admissible(trial[k - q :]):
+            gain = predicted = math.nan
+        else:
+            e_trial = innovations(trial)
+            sse_trial = float(e_trial @ e_trial)
+            gain = sse - sse_trial
+            predicted = float(step @ (rhs + rhs - normal @ step))
+        if gain > 0.0 and gain > LM_MIN_RATIO * predicted:
+            x, e, sse = trial, e_trial, sse_trial
+            lam *= 0.1
+            fresh = True
+            if gain < LM_FTOL * (sse + gain) and \
+                    cosine2 < LM_GAIN_GTOL * LM_GAIN_GTOL:
+                break
+            if float(step @ step) <= LM_XTOL * LM_XTOL * float(x @ x):
+                break
+        else:
+            lam *= 10.0
+            if lam > LM_MAX_DAMPING:
+                break
+    return x, sse
 
 
 def css_fit(
@@ -301,48 +453,29 @@ def css_fit(
     intercept: bool,
     burn: int | None = None,
     x0: np.ndarray | None = None,
-    budget: int = 200,
 ) -> tuple[float, np.ndarray, np.ndarray, float, np.ndarray]:
     """Minimise the conditional sum of squared innovations.
 
-    Pure AR cases solve in closed form by least squares; mixed models use
-    Nelder-Mead from a Hannan-Rissanen warm start (or ``x0``). ``budget``
-    scales the evaluation cap per free parameter. Returns
-    (c, phi, theta, sse, e): the innovations ``e`` for ``w[burn:]`` at the
-    returned coefficients, conditioning on zero pre-window shocks, and the
-    SSE over them (in pure AR cases, least squares' own), or ``inf`` where
-    it is not finite.
+    Pure AR cases solve in closed form by least squares. Models with an MA
+    part run Levenberg-Marquardt (:func:`_marquardt`) from ``x0`` or, by
+    default, from the better of a Hannan-Rissanen start and the least-squares
+    AR start. Returns (c, phi, theta, sse, e): the innovations ``e`` for
+    ``w[burn:]`` at the returned coefficients, conditioning on zero
+    pre-window shocks, and the SSE over them (in pure AR cases, least
+    squares' own), or ``inf`` where it is not finite.
     """
     w = np.asarray(w, dtype=float)
     if burn is None:
         burn = p
     if burn < p:
         raise ValidationError("burn-in cannot be shorter than the AR order")
-    n_eff = len(w) - burn
-    if n_eff < p + q + (1 if intercept else 0) + 1:
+    off = 1 if intercept else 0
+    if len(w) - burn < p + q + off + 1:
         raise InsufficientDataError(
             f"series too short for ARMA({p},{q}) with burn-in {burn}"
         )
-    target = w[burn:]
-    lags = _lag_matrix(w, p, burn)
-    off = 1 if intercept else 0
-    ma_poly = np.ones(q + 1)  # [1, theta...], theta refilled on every call
-    linear_filter = _linear_filter() if q else None  # bound once
-
-    def innovations(x: np.ndarray) -> np.ndarray:
-        """The innovations at ``x = [c?, phi..., theta...]``, in a new array."""
-        # subtracting a zero intercept is exact, so without one it is skipped
-        u = target - float(x[0]) if intercept else target
-        if p:
-            u = u - lags @ x[off : off + p]
-        if q:
-            ma_poly[1:] = x[off + p :]
-            u = linear_filter(_FILTER_NUMERATOR, ma_poly, u, -1)
-        return target.copy() if u is target else u
-
-    design = lags
-    if intercept:
-        design = np.column_stack([np.ones(n_eff), lags])
+    design, target, innovations, jacobian = _css_problem(w, p, q, intercept,
+                                                         burn)
     # squares of counts near the float range overflow: such an SSE scores
     # inf, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
@@ -351,11 +484,6 @@ def css_fit(
             best_x = x_ar
             best_sse = sse_ar if math.isfinite(sse_ar) else math.inf
         else:
-            def objective(x: np.ndarray) -> float:
-                e = innovations(x)
-                sse = float(e @ e)
-                return sse if math.isfinite(sse) else math.inf
-
             starts = []
             if x0 is not None:
                 starts.append(np.asarray(x0, dtype=float))
@@ -364,15 +492,17 @@ def css_fit(
                 if hr is not None and len(hr) == p + q + off:
                     starts.append(hr)
                 starts.append(np.concatenate([x_ar, np.zeros(q)]))
-            # the first start with the smallest SSE, each start scored once
-            scores = [objective(start) for start in starts]
-            best_sse = min(scores)
-            best_x = starts[scores.index(best_sse)]
-            x, fun = nelder_mead(objective, best_x,
-                                 maxfev=budget * len(best_x),
-                                 xatol=1e-6, fatol=1e-10)
-            if float(fun) < best_sse:
-                best_x, best_sse = x, float(fun)
+            # the first start with the smallest SSE
+            best_sse = math.inf
+            best_x = starts[0]
+            for start in starts:
+                e = innovations(start)
+                sse = float(e @ e)
+                if sse < best_sse:
+                    best_x, best_sse = start, sse
+            if math.isfinite(best_sse):
+                best_x, best_sse = _marquardt(innovations, jacobian, best_x,
+                                              best_sse, q)
         e = innovations(best_x)
     c = float(best_x[0]) if intercept else 0.0
     return (c, best_x[off : off + p].copy(), best_x[off + p :].copy(),
@@ -421,7 +551,11 @@ def arima_fit(
     else:
         check_order(order)
         p, d, q = order
-    w = np.diff(y, n=d) if d else y.copy()
+    # differences of counts near the float range can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.diff(y, n=d) if d else y.copy()
+    if not np.all(np.isfinite(w)):
+        raise FitError(f"{series.name}: differences of order {d} overflow")
     intercept = d == 0
 
     if order is None:
@@ -432,8 +566,7 @@ def arima_fit(
             for q in range(MAX_ARMA_ORDER + 1):
                 try:
                     _, _, _, sse, _ = css_fit(
-                        w, p, q, intercept, burn=MAX_ARMA_ORDER,
-                        budget=SELECTION_BUDGET,
+                        w, p, q, intercept, burn=MAX_ARMA_ORDER
                     )
                 except InsufficientDataError:
                     continue

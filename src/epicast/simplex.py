@@ -1,4 +1,5 @@
 """Nelder-Mead simplex search, the package's one derivative-free minimiser.
+Only ``epi.sir_fit`` uses it; the ARIMA fit is Levenberg-Marquardt.
 
 ``nelder_mead`` runs scipy's ``minimize(method="Nelder-Mead")`` (as of
 scipy 1.17, with bounds and adaptive coefficients off) step for step: the

@@ -269,6 +269,17 @@ class TestCriterion7Monitor:
         )
 
 
+class TestArimaBaseline:
+    def test_converged_fits_forecast_better_than_capped_search(self, india):
+        # mean out-of-sample m of the AIC-selected ARIMA over every monitor
+        # origin of the national fixture; the capped Nelder-Mead search
+        # that Levenberg-Marquardt replaced scored 3 202
+        report_obj = monitor(india, ["arima"], k=4)
+        mean_m = float(np.mean([r.m for r in report_obj.records]))
+        report("arima", len(report_obj.origins) == 149 and mean_m < 3202.0,
+               f"mean m {mean_m:.1f} over {len(report_obj.origins)} origins")
+
+
 class TestCriterion8ShelfLife:
     def test_crossing_and_ape(self):
         m = 30

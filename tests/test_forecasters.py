@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 from scipy import optimize, signal
 
 from epicast.errors import FitError, InsufficientDataError, ValidationError
 from epicast.forecasters import (
-    SELECTION_BUDGET,
+    _FILTER_NUMERATOR,
     ArimaModel,
     HoltParams,
     arima_fit,
@@ -19,8 +20,9 @@ from epicast.forecasters import (
     holt_forecast,
 )
 from epicast.forecasters import (
+    _css_problem,
     _hannan_rissanen_start,
-    _lag_matrix,
+    _linear_filter,
     _ols,
 )
 from epicast.hybrid import make_forecaster
@@ -46,72 +48,6 @@ def holt_grid_oracle(y):
             level = new_level
         best = min(best, float(sse.min()))
     return best
-
-
-def _reference_css_fit(w, p, q, intercept, burn=None, x0=None, budget=200):
-    """``css_fit`` as it was on scipy's Nelder-Mead and ``signal.lfilter``:
-    the oracle the in-house search and the direct filter call must match
-    bit for bit, innovations included."""
-    w = np.asarray(w, dtype=float)
-    if burn is None:
-        burn = p
-    n_eff = len(w) - burn
-    target = w[burn:]
-    lags = _lag_matrix(w, p, burn)
-    design = lags
-    if intercept:
-        design = np.column_stack([np.ones(n_eff), lags])
-    coef, sse_ar = _ols(design, target)
-    if intercept and len(coef):
-        c_ar, phi_ar = float(coef[0]), coef[1:]
-    else:
-        c_ar, phi_ar = 0.0, coef
-
-    def innovations(c, phi, theta):
-        u = target - c
-        if p:
-            u = u - lags @ phi
-        if q:
-            u = signal.lfilter([1.0], np.concatenate([[1.0], theta]), u)
-        return u
-
-    if q == 0:
-        return (c_ar, phi_ar, np.empty(0),
-                sse_ar if np.isfinite(sse_ar) else np.inf,
-                innovations(c_ar, phi_ar, np.empty(0)))
-
-    def unpack(x):
-        off = 1 if intercept else 0
-        c = x[0] if intercept else 0.0
-        return float(c), x[off : off + p], x[off + p :]
-
-    def objective(x):
-        e = innovations(*unpack(x))
-        sse = float(e @ e)
-        return sse if np.isfinite(sse) else np.inf
-
-    starts = []
-    if x0 is not None:
-        starts.append(np.asarray(x0, dtype=float))
-    else:
-        hr = _hannan_rissanen_start(w, p, q, intercept)
-        if hr is not None and len(hr) == p + q + (1 if intercept else 0):
-            starts.append(hr)
-        starts.append(
-            np.concatenate([[c_ar] if intercept else [], phi_ar, np.zeros(q)])
-        )
-    best_x = min(starts, key=objective)
-    best_sse = objective(best_x)
-    res = optimize.minimize(
-        objective,
-        best_x,
-        method="Nelder-Mead",
-        options={"maxfev": budget * len(best_x), "xatol": 1e-6, "fatol": 1e-10},
-    )
-    if float(res.fun) < best_sse:
-        best_x, best_sse = res.x, float(res.fun)
-    c, phi, theta = unpack(best_x)
-    return c, phi.copy(), theta.copy(), best_sse, innovations(c, phi, theta)
 
 
 def holt_sse(series, params):
@@ -237,9 +173,7 @@ class TestArimaFit:
         scores = {}
         for p in range(6):
             for q in range(6):
-                _, _, _, sse, _ = css_fit(
-                    w, p, q, True, burn=5, budget=SELECTION_BUDGET
-                )
+                _, _, _, sse, _ = css_fit(w, p, q, True, burn=5)
                 scores[(p, q)] = css_aic(sse, len(w) - 5, p, q, True)
         assert model.order[::2] == min(scores, key=scores.get)
 
@@ -263,8 +197,7 @@ class TestArimaFit:
         w = np.diff(y, n=d) if d else y
         for p in range(6):
             for q in range(1, 6):
-                *_, sse, e = css_fit(w, p, q, d == 0, burn=5,
-                                     budget=SELECTION_BUDGET)
+                *_, sse, e = css_fit(w, p, q, d == 0, burn=5)
                 with np.errstate(over="ignore"):
                     true_sse = float(e @ e)
                 assert sse == np.inf or sse == true_sse, (p, q)
@@ -275,6 +208,8 @@ class TestArimaFit:
         k=st.integers(-300, 308),
     )
     @example(unit=[1.0 + 0.1 * (i % 7) for i in range(40)], k=155)
+    # second differences of two spikes near the float range overflow
+    @example(unit=[0.0, 1.0] + [0.0] * 15 + [1.0] + [0.0] * 7, k=308)
     def test_any_scale_fits_or_fails_cleanly(self, unit, k):
         # counts of every magnitude the float range holds: a fit forecasts
         # finite values or raises FitError, and numpy never warns
@@ -358,40 +293,142 @@ class TestCssObjective:
             prev_sse, prev_theta = sse, theta
 
 
+def arma_draw(seed):
+    """An invertible, stationary ARMA(p, q) draw with an intercept: p in
+    0..2, q in 1..2, 80 to 300 points, roots drawn in (-0.9, 0.9)."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(0, 3))
+    q = int(rng.integers(1, 3))
+    n = int(rng.integers(80, 301))
+    ar = np.poly(rng.uniform(-0.9, 0.9, size=p)) if p else np.ones(1)
+    ma = np.poly(rng.uniform(-0.9, 0.9, size=q))
+    w = 5.0 + signal.lfilter(ma, ar, rng.normal(size=n + 100))[100:]
+    return w, p, q
+
+
+def css_innovations(x, w, p, q):
+    """The CSS innovations with an intercept and burn-in p, through
+    ``signal.lfilter``: the objective the MINPACK oracle minimises."""
+    u = w[p:] - x[0]
+    for j in range(1, p + 1):
+        u = u - x[j] * w[p - j : len(w) - j]
+    return signal.lfilter([1.0], np.concatenate([[1.0], x[1 + p :]]), u)
+
+
 class TestCssOracle:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(30, 120),
+        p=st.integers(0, 5),
+        q=st.integers(1, 5),
+        intercept=st.booleans(),
+        extra_burn=st.integers(0, 5),
+    )
+    def test_jacobian_matches_central_differences(self, seed, n, p, q,
+                                                  intercept, extra_burn):
+        rng = np.random.default_rng(seed)
+        w = 3.0 + np.cumsum(rng.normal(size=n)) * 0.3 + rng.normal(size=n)
+        _, _, innovations, jacobian = _css_problem(w, p, q, intercept,
+                                                   p + extra_burn)
+        k = p + q + (1 if intercept else 0)
+        x = rng.normal(scale=0.2, size=k)
+        # MA roots well inside the unit circle keep the filter stable
+        x[k - q :] = np.poly(rng.uniform(-0.7, 0.7, size=q))[1:]
+        e = innovations(x)
+        analytic = -jacobian(x, e)
+        h = 1e-6
+        numeric = np.column_stack([
+            (innovations(x + h * unit) - innovations(x - h * unit)) / (2 * h)
+            for unit in np.eye(k)
+        ])
+        err = np.max(np.abs(analytic - numeric), axis=0)
+        assert np.all(err <= 1e-6 * (1.0 + np.max(np.abs(numeric), axis=0)))
+
+    @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(25, 100),
         integrated=st.booleans(),
         p=st.integers(0, 5),
-        q=st.integers(0, 5),
+        q=st.integers(1, 5),
         intercept=st.booleans(),
         selection=st.booleans(),
-        budget=st.sampled_from([1, 2, SELECTION_BUDGET, 200]),
         warm=st.booleans(),
     )
-    # with nothing to subtract or filter, the innovations are still a copy
-    @example(seed=0, n=30, integrated=True, p=0, q=0, intercept=False,
-             selection=False, budget=200, warm=False)
-    def test_fit_matches_reference(self, seed, n, integrated, p, q,
-                                   intercept, selection, budget, warm):
+    def test_fit_never_ends_above_its_best_start(self, seed, n, integrated, p,
+                                                 q, intercept, selection,
+                                                 warm):
         rng = np.random.default_rng(seed)
         w = np.convolve(rng.normal(size=n + 2), [1.0, 0.6, -0.3])[:n]
         w = 3.0 + (np.cumsum(w) if integrated else w)
         burn = 5 if selection else p
-        x0 = None
+        design, target, innovations, _ = _css_problem(w, p, q, intercept,
+                                                      burn)
         if warm:
             x0 = rng.normal(scale=0.3, size=p + q + (1 if intercept else 0))
-        got = css_fit(w, p, q, intercept, burn=burn, x0=x0, budget=budget)
-        want = _reference_css_fit(w, p, q, intercept, burn=burn, x0=x0,
-                                  budget=budget)
-        assert got[0] == want[0]
-        assert got[1].tobytes() == want[1].tobytes()
-        assert got[2].tobytes() == want[2].tobytes()
-        assert got[3] == want[3]
-        assert got[4].tobytes() == want[4].tobytes()
-        assert not np.shares_memory(got[4], w)
+            starts = [x0]
+        else:
+            x0 = None
+            starts = [np.concatenate([_ols(design, target)[0], np.zeros(q)])]
+            hr = _hannan_rissanen_start(w, p, q, intercept)
+            if hr is not None:
+                starts.append(hr)
+        start_sse = min(float(e @ e) for e in map(innovations, starts))
+        *_, sse, e = css_fit(w, p, q, intercept, burn=burn, x0=x0)
+        assert sse <= start_sse
+        assert sse == float(e @ e)
+        assert not np.shares_memory(e, w)
+
+    def test_fit_matches_minpack_restarted_from_it(self):
+        # MINPACK's Levenberg-Marquardt (scipy's least_squares, method
+        # "lm"), restarted from each fit, must not lower its SSE by more
+        # than 1e-6 relative. The 9 draws that fail are ill-posed: the fit
+        # ends on MA_RADIUS, and MINPACK, unconstrained, keeps descending
+        # past the unit circle. The Nelder-Mead search this fit replaced
+        # passed 292 of these draws: on draw 134 it stopped in an
+        # invertible local minimum, 1 % below the fit's SSE on the radius
+        passed = 0
+        for seed in range(300):
+            w, p, q = arma_draw(seed)
+            c, phi, theta, sse, _ = css_fit(w, p, q, True)
+            x = np.concatenate([[c], phi, theta])
+            res = optimize.least_squares(css_innovations, x, method="lm",
+                                         args=(w, p, q))
+            passed += sse <= float(res.fun @ res.fun) * (1 + 1e-6)
+        assert passed >= 291
+
+    def test_kernel_filters_a_block_column_by_column(self):
+        # the CSS Jacobian filters an (n, k) block along axis 0 in one call
+        kernel = _linear_filter()
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            q = int(rng.integers(1, 6))
+            a = np.concatenate([[1.0], rng.normal(scale=0.8, size=q)])
+            block = rng.normal(scale=10.0 ** rng.uniform(-3, 3),
+                               size=(int(rng.integers(0, 120)),
+                                     int(rng.integers(1, 12))))
+            got = kernel(_FILTER_NUMERATOR, a, block, 0)
+            for j in range(block.shape[1]):
+                want = signal.lfilter([1.0], a, block[:, j])
+                assert got[:, j].tobytes() == want.tobytes(), (trial, j)
+
+    def test_unwrapped_solve_equals_numpy_solve(self):
+        # the damped normal equations go to np.linalg.solve's gufunc
+        # directly; a singular system gives NaN there in place of an error
+        rng = np.random.default_rng(9)
+        for trial in range(200):
+            k = int(rng.integers(1, 12))
+            jac = rng.normal(size=(int(rng.integers(k, 100)), k))
+            damped = jac.T @ jac
+            damped[np.diag_indices(k)] *= 1.0 + 10.0 ** rng.uniform(-8, 2)
+            rhs = rng.normal(size=k)
+            got = _umath_linalg.solve1(damped, rhs, signature="dd->d")
+            assert got.tobytes() == np.linalg.solve(damped, rhs).tobytes()
+        with np.errstate(invalid="ignore"):
+            got = _umath_linalg.solve1(np.zeros((3, 3)), np.ones(3),
+                                       signature="dd->d")
+        assert np.all(np.isnan(got))
 
     @pytest.mark.parametrize("kernel_first", [True, False])
     def test_kernel_equals_lfilter_in_either_load_order(self, kernel_first):
@@ -423,6 +460,25 @@ class TestCssOracle:
             print("ok")
         """
         assert python_output(code) == "ok\n"
+
+
+class TestImports:
+    def test_arima_forecast_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # importing scipy.optimize takes about 0.3 s and 40 MB, and the
+        # CSS fit needs none of it
+        code = f"""if True:
+            import sys
+            from epicast.cli import main
+            from epicast.core import fixture_path
+            main(["forecast", "--input",
+                  str(fixture_path("india_confirmed.csv")),
+                  "--model", "arima", "--out", {str(tmp_path / "out")!r}])
+            print(sorted(m for m in sys.modules if m.startswith("scipy.")))
+        """
+        loaded = python_output(code)
+        assert (tmp_path / "out" / "forecast.csv").is_file()
+        assert "scipy.signal._sigtools" in loaded
+        assert "scipy.optimize" not in loaded
 
 
 class TestContract:
