@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print the SHA-256 of every output of the five CLI commands on the
 committed fixtures, ``adjust`` under each weight rule and ``forecast`` with
-``arima`` too, so that two checkouts can be compared with one ``diff``.
+``arima`` and ``arima(2,1,2)`` too, so that two checkouts can be compared
+with one ``diff``.
 
 Each command runs in a fresh process on this checkout's ``src`` with
 ``--seed 42`` and its own output directory. The digests of its ``--out``
@@ -30,8 +31,8 @@ PANEL = "india_panel.csv"
 
 # (label, command, fixture, extra flags); the label names the output lines.
 # adjust runs once per weight rule, so that a diff covers every rule, and
-# forecast once more with arima: its order sweep and MA-kernel forecast
-# outside monitor
+# forecast twice more with ARIMA: the order sweep and MA-kernel forecast
+# outside monitor, and a fixed order's fit with no sweep
 RUNS = [
     ("forecast", "forecast", SERIES, ["--horizon", "7", "--svg"]),
     ("adjust", "adjust", PANEL, []),
@@ -41,6 +42,8 @@ RUNS = [
     ("adjust[window:3]", "adjust", PANEL, ["--weight-mode", "window:3"]),
     ("adjust[ewma:0.9]", "adjust", PANEL, ["--weight-mode", "ewma:0.9"]),
     ("forecast[arima]", "forecast", SERIES, ["--model", "arima"]),
+    ("forecast[arima(2,1,2)]", "forecast", SERIES,
+     ["--model", "arima(2,1,2)"]),
 ]
 
 

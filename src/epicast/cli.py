@@ -30,7 +30,8 @@ from . import epi
 from .core import parse_panel_csv, parse_series_csv
 from .errors import EpicastError, ValidationError
 from .evaluate import monitor, shelf_life
-from .forecasters import MAX_ARMA_ORDER, MAX_DIFF, check_horizon
+from .forecasters import (MAX_ARMA_ORDER, MAX_DIFF, check_horizon,
+                          forecast_after)
 from .hybrid import MODEL_TAGS, fit_panel, fit_tagged_models
 from .neural import TdnnConfig
 
@@ -128,7 +129,7 @@ def cmd_forecast(args) -> tuple[dict, str]:
     series = parse_series_csv(args.input)
     check_horizon(args.horizon)  # fail before the fit, not after it
     (model,) = fit_tagged_models(series, [args.model], _tdnn_config(args)).values()
-    raw = model.forecast(args.horizon)
+    raw = forecast_after(model, series, args.horizon)
     rows = [["date", "point_forecast", "clamped_forecast"]]
     points = []
     for i, value in enumerate(raw, start=1):
@@ -160,11 +161,12 @@ def cmd_adjust(args) -> tuple[dict, str]:
     for name, reason in excluded:
         log.warning("excluding %s: %s", name, reason)
 
-    state_forecasts = np.array([m.forecast(1)[0] for _, m in states])
+    state_forecasts = np.array([forecast_after(m, s, 1)[0]
+                                for s, m in states])
     fitted = [m.fitted() for _, m in states]
     # fitted values are defined on a tail of each series, up to its last day
     depth = min(int(np.isfinite(f).sum()) for f in fitted)
-    nat_unadj = float(national.forecast(1)[0])
+    nat_unadj = float(forecast_after(national, panel.national, 1)[0])
     adjustment = adjust_mod.adjust_forecasts(
         adjust_mod.AdjustmentInput(
             state_forecasts=state_forecasts,

@@ -258,24 +258,19 @@ def sir_fit(series: UnivariateSeries, population: float) -> SirFit:
     lo = np.array([SIR_BOUNDS[k][0] for k in ("beta", "gamma", "i0")])
     hi = np.array([SIR_BOUNDS[k][1] for k in ("beta", "gamma", "i0")])
 
-    def trajectory_sse(x: np.ndarray) -> float:
+    def objective(x: np.ndarray) -> float:
         beta, gamma, i0 = np.clip(x, lo, hi)
         traj = sir_simulate(beta, gamma, 1.0 - i0, i0, days,
                             step=SIR_FIT_STEP)
-        model = 1.0 - traj.s[1:]
-        err = model - observed
-        return float(err @ err)
-
-    def objective(x: np.ndarray) -> float:
-        sse = trajectory_sse(x)
+        err = (1.0 - traj.s[1:]) - observed
+        sse = float(err @ err)
         return sse if math.isfinite(sse) else 1e300
 
     x0 = np.array([0.2, 0.1, max(float(observed[0]), 1e-8)])
     # x0 is the search's first vertex, so its result is never worse than x0
-    x, _ = nelder_mead(objective, x0, maxfev=600, xatol=1e-8, fatol=1e-12)
+    x, sse = nelder_mead(objective, x0, maxfev=600, xatol=1e-8, fatol=1e-12)
     best = np.clip(x, lo, hi)
-    sse = trajectory_sse(best)
-    if not math.isfinite(sse):
+    if not sse < 1e300:  # the objective's score for a non-finite SSE
         raise FitError(
             f"SIR search failed; best parameters so far beta={best[0]:.4g}, "
             f"gamma={best[1]:.4g}, i0={best[2]:.4g}"
@@ -286,5 +281,5 @@ def sir_fit(series: UnivariateSeries, population: float) -> SirFit:
         gamma=gamma,
         s0=1.0 - i0,
         i0=i0,
-        trajectory_mse=sse / days,
+        trajectory_mse=float(sse) / days,
     )

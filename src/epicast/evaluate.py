@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import UnivariateSeries
 from .errors import DomainError, InsufficientDataError, ValidationError
+from .forecasters import forecast_after
 from .hybrid import fit_tagged_models, make_forecaster
 from .neural import TdnnConfig
 from .parallel import map_units
@@ -112,7 +113,7 @@ def _score_origin(
     fitted = fit_tagged_models(train, models, seeded)
     records = []
     for tag in models:
-        forecast = fitted[tag].forecast(k)
+        forecast = forecast_after(fitted[tag], train, k)
         try:
             scores = rmse(actual, forecast), mae(actual, forecast)
         except DomainError as exc:
@@ -260,8 +261,9 @@ def shelf_life(
     if not 0 < train_len < t:
         raise ValidationError(f"train_len must lie in (0, {t})")
     horizon = t - train_len
-    (fitted,) = fit_tagged_models(series.prefix(train_len), [model], config).values()
-    forecast = fitted.forecast(horizon)
+    train = series.prefix(train_len)
+    (fitted,) = fit_tagged_models(train, [model], config).values()
+    forecast = forecast_after(fitted, train, horizon)
     actual = series.values[train_len:]
     zeros = np.flatnonzero(actual == 0)
     if len(zeros):

@@ -21,12 +21,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from datetime import timedelta
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .core import UnivariateSeries
-from .errors import FitError, InsufficientDataError, ValidationError
+from .errors import DomainError, FitError, InsufficientDataError, ValidationError
 
 PARAM_GRID = np.arange(1, 101) / 100.0  # 0.01 .. 1.00
 MAX_ARMA_ORDER = 5
@@ -80,6 +81,22 @@ class Forecaster(abc.ABC):
 
     def residuals(self) -> np.ndarray:
         return self._observed - self.fitted()
+
+
+def forecast_after(model: Forecaster, series: UnivariateSeries,
+                   h: int) -> np.ndarray:
+    """``model.forecast(h)`` for the ``h`` days after ``series``, the series
+    it was fitted on. A value past the float range raises
+    :class:`DomainError` naming the series, the model and the first day it
+    overflows on; numpy does not warn."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = model.forecast(h)
+    beyond = np.flatnonzero(~np.isfinite(values))
+    if len(beyond):
+        day = series.last_date + timedelta(days=int(beyond[0]) + 1)
+        raise DomainError(f"{series.name}: the {model.tag} forecast "
+                          f"overflows on {day.isoformat()}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +215,11 @@ class ArimaModel:
     """Fitted ARIMA(p, d, q) with conditional-SSE residual context.
 
     The intercept is estimated only for d == 0; differenced models carry no
-    drift, so an (0,1,0) forecast stays at the last observation.
+    drift, so an (0,1,0) forecast stays at the last observation. The
+    forecast recursion needs ``p`` AR and ``q`` MA coefficients, at least
+    the last ``p`` differenced values in ``w_tail`` and the last ``q``
+    innovations in ``e_tail``, and one value per difference in
+    ``diff_tails``.
     """
 
     order: tuple[int, int, int]
@@ -213,6 +234,18 @@ class ArimaModel:
 
     def __post_init__(self):
         check_order(self.order)
+        p, d, q = self.order
+        for label, values, least, most in (
+                ("ar_coeffs", self.ar_coeffs, p, p),
+                ("ma_coeffs", self.ma_coeffs, q, q),
+                ("diff_tails", self.diff_tails, d, d),
+                ("w_tail", self.w_tail, p, math.inf),
+                ("e_tail", self.e_tail, q, math.inf)):
+            if not least <= len(values) <= most:
+                raise ValidationError(
+                    f"ARIMA{self.order}: {label} holds {len(values)} values, "
+                    f"needs {'' if most == least else 'at least '}{least}"
+                )
 
 
 def check_order(order: tuple[int, int, int]) -> None:
@@ -322,6 +355,8 @@ def _hannan_rissanen_start(
     cols.extend(_lag_matrix(w, p, burn).T)
     cols.extend(_lag_matrix(shocks, q, burn).T)
     design2 = np.column_stack(cols) if cols else np.empty((len(target), 0))
+    if not np.all(np.isfinite(design2)):  # shocks past the float range
+        return None
     coef2, _ = _ols(design2, target)
     if not np.all(np.isfinite(coef2)):
         return None
@@ -452,17 +487,16 @@ def css_fit(
     q: int,
     intercept: bool,
     burn: int | None = None,
-    x0: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, float, np.ndarray]:
     """Minimise the conditional sum of squared innovations.
 
     Pure AR cases solve in closed form by least squares. Models with an MA
-    part run Levenberg-Marquardt (:func:`_marquardt`) from ``x0`` or, by
-    default, from the better of a Hannan-Rissanen start and the least-squares
-    AR start. Returns (c, phi, theta, sse, e): the innovations ``e`` for
-    ``w[burn:]`` at the returned coefficients, conditioning on zero
-    pre-window shocks, and the SSE over them (in pure AR cases, least
-    squares' own), or ``inf`` where it is not finite.
+    part run Levenberg-Marquardt (:func:`_marquardt`) from the better of a
+    Hannan-Rissanen start and the least-squares AR start. Returns (c, phi,
+    theta, sse, e): the innovations ``e`` for ``w[burn:]`` at the returned
+    coefficients, conditioning on zero pre-window shocks, and the SSE over
+    them (in pure AR cases, least squares' own), or ``inf`` where it is not
+    finite.
     """
     w = np.asarray(w, dtype=float)
     if burn is None:
@@ -484,14 +518,9 @@ def css_fit(
             best_x = x_ar
             best_sse = sse_ar if math.isfinite(sse_ar) else math.inf
         else:
-            starts = []
-            if x0 is not None:
-                starts.append(np.asarray(x0, dtype=float))
-            else:
-                hr = _hannan_rissanen_start(w, p, q, intercept)
-                if hr is not None and len(hr) == p + q + off:
-                    starts.append(hr)
-                starts.append(np.concatenate([x_ar, np.zeros(q)]))
+            hr = _hannan_rissanen_start(w, p, q, intercept)
+            ar = np.concatenate([x_ar, np.zeros(q)])
+            starts = [ar] if hr is None else [hr, ar]
             # the first start with the smallest SSE
             best_sse = math.inf
             best_x = starts[0]
@@ -616,23 +645,19 @@ def arima_forecast(model: ArimaModel, h: int) -> np.ndarray:
     """Recursive point forecasts with future innovations at zero, integrated
     back through the model's differences."""
     check_horizon(h)
-    if h == 0:
-        return np.empty(0)
     p, d, q = model.order
-    w_hist = list(model.w_tail[-p:]) if p else []
-    e_hist = list(model.e_tail[-q:]) if q else []
+    w_hist = list(model.w_tail)
+    e_hist = list(model.e_tail)
     out = np.empty(h)
     for i in range(h):
         value = model.intercept
-        for j in range(min(p, len(w_hist))):
+        for j in range(p):
             value += model.ar_coeffs[j] * w_hist[-1 - j]
-        for j in range(min(q, len(e_hist))):
+        for j in range(q):
             value += model.ma_coeffs[j] * e_hist[-1 - j]
         out[i] = value
-        if p:
-            w_hist.append(value)
-        if q:
-            e_hist.append(0.0)
+        w_hist.append(value)
+        e_hist.append(0.0)
     for k in range(d - 1, -1, -1):
         out = model.diff_tails[k] + np.cumsum(out)
     return out

@@ -102,8 +102,6 @@ class HybridForecaster(Forecaster):
 
     def forecast(self, h: int) -> np.ndarray:
         """Base forecast plus residual forecast, elementwise."""
-        if h == 0:
-            return np.empty(0)
         return self.base.forecast(h) + wbann_forecast(self.residual_model, h)
 
 

@@ -1,29 +1,19 @@
 """Nelder-Mead simplex search, the package's one derivative-free minimiser.
 Only ``epi.sir_fit`` uses it; the ARIMA fit is Levenberg-Marquardt.
 
-``nelder_mead`` runs scipy's ``minimize(method="Nelder-Mead")`` (as of
-scipy 1.17, with bounds and adaptive coefficients off) step for step: the
-same initial simplex, the same coefficients, the same vector expressions in
-the same grouping and the same sorts at the same points. Its iterates, and
-so its result, are therefore bit-identical to scipy's, which the tests keep
-as the oracle.
+``nelder_mead`` is the loop of scipy's ``minimize(method="Nelder-Mead")``
+(as of scipy 1.17, with bounds and adaptive coefficients off) as scipy
+writes it: the same initial simplex, coefficients, vector expressions,
+sorts, budget check and stopping test. Its iterates, and so its result,
+are therefore bit-identical to scipy's, which the tests keep as the
+oracle. It calls the array methods ``argsort``, ``take`` and ``max``
+where scipy calls numpy's functions of those names, which wrap the same
+methods.
 
-What it drops is scipy's per-call overhead, which exceeds the cost of a
-cheap objective: the wrapper's copy of every trial point and its scalar
-check, the intermediate result object and callback check per iteration,
-and the ``np.take``/``np.max``/``np.argsort`` function layers (the array
-methods do the same work). Each remaining shortcut keeps the iterates:
-
-* The stopping test checks the value spread first, as
-  ``fsim[-1] - fsim[0] <= fatol``. ``fsim`` is sorted with NaN last and
-  IEEE rounding is monotone, so no difference to the best value exceeds
-  that one, and this equals scipy's max-abs test; the vertex spread is
-  computed only when it holds.
-* A step makes at most n + 2 calls (reflection, contraction, shrink), so a
-  step that starts at least n + 2 calls short of the budget calls ``f``
-  directly; only the last steps go through the budget check.
-* ``RHO`` is 1, so the reflection uses the worst vertex itself instead of
-  its product with ``RHO``, which is an exact copy.
+It is kept in-house for its import cost alone: on a 2-core VM with scipy
+1.17, ``import scipy.optimize`` takes 0.43-0.59 s and raises the RSS from
+27 to 76 MB after numpy, while the whole ``r0`` command takes about 0.55 s
+and peaks at 39 MB.
 """
 
 from __future__ import annotations
@@ -70,16 +60,17 @@ def nelder_mead(
 
     ncalls = 0
 
-    def checked(x: np.ndarray) -> float:
+    def call(x: np.ndarray) -> float:
+        nonlocal ncalls
         if ncalls >= maxfev:
             raise _BudgetExhausted
+        ncalls += 1
         return f(x)
 
     fsim = np.full(n + 1, np.inf)
     try:
         for k in range(n + 1):
-            fsim[k] = checked(sim[k])
-            ncalls += 1
+            fsim[k] = call(sim[k])
     except _BudgetExhausted:
         pass
     ind = fsim.argsort()
@@ -90,22 +81,18 @@ def nelder_mead(
     sim = sim.take(ind, 0)
 
     while ncalls < maxfev:
-        if (fsim[-1] - fsim[0] <= fatol
-                and np.abs(sim[1:] - sim[0]).max() <= xatol):
-            break
-        # a step makes at most n + 2 calls (reflection, contraction, shrink)
-        call = f if ncalls + n + 2 <= maxfev else checked
         try:
+            if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+                break
             xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + RHO) * xbar - sim[-1]
+            xr = (1 + RHO) * xbar - RHO * sim[-1]
             fxr = call(xr)
-            ncalls += 1
             doshrink = False
 
             if fxr < fsim[0]:
                 xe = (1 + RHO * CHI) * xbar - RHO * CHI * sim[-1]
                 fxe = call(xe)
-                ncalls += 1
                 if fxe < fxr:
                     sim[-1] = xe
                     fsim[-1] = fxe
@@ -119,7 +106,6 @@ def nelder_mead(
                 # outside contraction
                 xc = (1 + PSI * RHO) * xbar - PSI * RHO * sim[-1]
                 fxc = call(xc)
-                ncalls += 1
                 if fxc <= fxr:
                     sim[-1] = xc
                     fsim[-1] = fxc
@@ -129,7 +115,6 @@ def nelder_mead(
                 # inside contraction
                 xcc = (1 - PSI) * xbar + PSI * sim[-1]
                 fxcc = call(xcc)
-                ncalls += 1
                 if fxcc < fsim[-1]:
                     sim[-1] = xcc
                     fsim[-1] = fxcc
@@ -140,7 +125,6 @@ def nelder_mead(
                 for j in range(1, n + 1):
                     sim[j] = sim[0] + SIGMA * (sim[j] - sim[0])
                     fsim[j] = call(sim[j])
-                    ncalls += 1
         except _BudgetExhausted:
             pass
         ind = fsim.argsort()

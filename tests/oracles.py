@@ -1,6 +1,8 @@
 """Readable reference forms that the package's optimised code is tested
 against. Nothing in ``src/epicast`` calls them."""
 
+import itertools
+
 import numpy as np
 
 from epicast.neural import _sigmoid
@@ -136,3 +138,28 @@ def weights_history(observed, fitted, mode: str, window: int = 7,
     if total == 0.0:
         return np.full(len(scores), 1.0 / len(scores))
     return scores / total
+
+
+def arima_forecast_reference(model, h: int) -> np.ndarray:
+    """The ARIMA(p, d, q) point forecasts written out: on the differenced
+    scale, ``w[t] = c + phi_1 w[t-1] + ... + phi_p w[t-p] + theta_1 e[t-1]
+    + ... + theta_q e[t-q]`` over the model's tails, with every future
+    innovation ``e`` zero; then each difference, deepest first, undone as
+    its last observed value plus the running sum. The arithmetic of
+    ``forecasters.arima_forecast``."""
+    p, d, q = model.order
+    w = list(model.w_tail)
+    e = list(model.e_tail) + [0.0] * h
+    start, e_start = len(model.w_tail), len(model.e_tail)
+    for t in range(h):
+        value = model.intercept
+        for j in range(1, p + 1):
+            value += model.ar_coeffs[j - 1] * w[start + t - j]
+        for j in range(1, q + 1):
+            value += model.ma_coeffs[j - 1] * e[e_start + t - j]
+        w.append(value)
+    out = w[start:]
+    for k in reversed(range(d)):
+        out = [model.diff_tails[k] + total
+               for total in itertools.accumulate(out)]
+    return np.array(out, dtype=float)

@@ -33,9 +33,10 @@ from epicast.core import (
     load_india_series,
 )
 from epicast.errors import EpicastError
+from epicast.hybrid import MODEL_TAGS
 from epicast.parallel import usable_cpus
 
-from conftest import linear_series, make_series
+from conftest import START, linear_series, make_series
 
 
 def run(argv):
@@ -672,6 +673,57 @@ class TestFailureModes:
         assert done.returncode == 1
         assert done.stderr == (
             "error: series: ARIMA(0,0,0) sum of squares is not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", MODEL_TAGS)
+    def test_forecast_past_the_float_range_exits_one_silently(self, tmp_path,
+                                                               model):
+        # the line (i + 1) * 2**1019 reaches 2**1024, past the float range,
+        # on its second forecast day
+        values = [(i + 1) * 2.0**1019 for i in range(30)]
+        path = write_series_csv(tmp_path, make_series(values))
+        out = tmp_path / "out"
+        done = self.run_in_fresh_process("forecast", "--model", model,
+                                         *FAST_FLAGS, "--input", path,
+                                         "--out", out)
+        assert done.returncode == 1
+        assert done.stderr == (
+            f"error: series: the {model} forecast overflows on 2020-04-14\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, values, day", [
+        # trained on the rising half, the line passes 2**1024 on its 12th
+        # day, where the flat half holds
+        ("shelflife", [min(i + 1, 20) * 2.0**1019 for i in range(40)],
+         "2020-04-14"),
+        # the origin-8 fit on the rising week forecasts past 1.8e308
+        ("monitor", [0.2e308 + 0.25e308 * min(i, 6) for i in range(14)],
+         "2020-03-21"),
+    ])
+    def test_scored_forecast_past_the_float_range_exits_one_silently(
+            self, tmp_path, command, values, day):
+        path = write_series_csv(tmp_path, make_series(values))
+        out = tmp_path / "out"
+        done = self.run_in_fresh_process(command, "--model", "holt",
+                                         "--input", path, "--out", out)
+        assert done.returncode == 1
+        assert done.stderr == (
+            f"error: series: the holt forecast overflows on {day}\n")
+        assert not out.exists()
+
+    def test_adjust_past_the_float_range_exits_one_silently(self, tmp_path):
+        # the national line (i + 2) * 2**1019 reaches 2**1024 on the next day
+        path = tmp_path / "panel.csv"
+        path.write_text("date,total,a,b\n" + "".join(
+            f"{START + datetime.timedelta(days=i)},{(i + 2) * 2**1019},"
+            f"{(i + 2) * 2**1018},{(i + 2) * 2**1018}\n" for i in range(30)),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        done = self.run_in_fresh_process("adjust", "--model", "holt",
+                                         "--input", path, "--out", out)
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: total: the holt forecast overflows on 2020-04-13\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("values, flags", [

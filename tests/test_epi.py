@@ -252,8 +252,8 @@ class TestSirFit:
         with pytest.raises(FitError, match="SIR search failed"):
             sir_fit(make_series(np.full(30, 10.0)), 1e6)
 
-    def test_one_simulation_beyond_the_search(self, monkeypatch, india):
-        # the final trajectory is the only simulation outside the search
+    def test_no_simulation_beyond_the_search(self, monkeypatch, india):
+        # the fit keeps the search's minimum instead of simulating it again
         counts = {"search": 0, "simulate": 0}
         search, simulate = epi.nelder_mead, epi.sir_simulate
 
@@ -270,7 +270,7 @@ class TestSirFit:
         monkeypatch.setattr(epi, "nelder_mead", counted_search)
         monkeypatch.setattr(epi, "sir_simulate", counted_simulate)
         sir_fit(india.prefix(60), 1.38e9)
-        assert counts["simulate"] == counts["search"] + 1
+        assert counts["simulate"] == counts["search"]
 
     def test_fixture_sanity_band(self, india):
         fit = sir_fit(india, 1.38e9)

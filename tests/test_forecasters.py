@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,11 +25,13 @@ from epicast.forecasters import (
     _css_problem,
     _hannan_rissanen_start,
     _linear_filter,
+    _marquardt,
     _ols,
 )
 from epicast.hybrid import make_forecaster
 
 from conftest import linear_series, make_series, python_output
+from oracles import arima_forecast_reference
 
 
 def holt_grid_oracle(y):
@@ -210,6 +214,9 @@ class TestArimaFit:
     @example(unit=[1.0 + 0.1 * (i % 7) for i in range(40)], k=155)
     # second differences of two spikes near the float range overflow
     @example(unit=[0.0, 1.0] + [0.0] * 15 + [1.0] + [0.0] * 7, k=308)
+    # the Hannan-Rissanen proxy shocks of three spikes overflow
+    @example(unit=[0.75 if i in (14, 30) else 0.5 if i == 38 else 0.0
+                   for i in range(41)], k=308)
     def test_any_scale_fits_or_fails_cleanly(self, unit, k):
         # counts of every magnitude the float range holds: a fit forecasts
         # finite values or raises FitError, and numpy never warns
@@ -231,6 +238,19 @@ class TestArimaFit:
     def test_too_short_for_selection(self):
         with pytest.raises(InsufficientDataError):
             arima_fit(make_series(np.arange(10.0)))
+
+
+def hand_built(order, **fields):
+    """An ``ArimaModel`` of ``order`` from ``fields``, lists for its
+    arrays; an array not given is the shortest the order allows, of
+    0.5s, and the intercept is 0 unless given."""
+    p, d, q = order
+    lengths = {"ar_coeffs": p, "ma_coeffs": q, "w_tail": p, "e_tail": q,
+               "diff_tails": d}
+    arrays = {key: np.asarray(fields.get(key, [0.5] * n), dtype=float)
+              for key, n in lengths.items()}
+    return ArimaModel(order=order, intercept=fields.get("intercept", 0.0),
+                      sigma2=1.0, fitted_values=np.empty(0), **arrays)
 
 
 class TestArimaForecast:
@@ -266,6 +286,38 @@ class TestArimaForecast:
         model = arima_fit(make_series(np.full(25, 3.0)))
         assert arima_forecast(model, 0).size == 0
 
+    @pytest.mark.parametrize("order, fields", [
+        # the recursion would drop phi_2 and forecast [4.0, 4.4, 3.4]
+        ((2, 0, 0), {"w_tail": [8.0]}),
+        ((0, 0, 2), {"e_tail": [1.0]}),
+        ((2, 0, 0), {"ar_coeffs": [0.5]}),
+        ((1, 0, 0), {"ar_coeffs": [0.5, 0.3]}),
+        ((0, 0, 1), {"ma_coeffs": []}),
+        ((0, 2, 0), {"diff_tails": [3.0]}),
+        ((0, 1, 0), {"diff_tails": [3.0, 1.0]}),
+    ])
+    def test_tails_that_do_not_fit_the_order_are_refused(self, order, fields):
+        with pytest.raises(ValidationError, match=next(iter(fields))):
+            hand_built(order, **fields)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.integers(0, 5), d=st.integers(0, 2),
+           q=st.integers(0, 5), h=st.integers(0, 30))
+    def test_matches_the_reference_recursion(self, data, p, d, q, h):
+        def values(least, most, bound):
+            return data.draw(st.lists(st.floats(-bound, bound), min_size=least,
+                                      max_size=most))
+
+        model = hand_built(
+            (p, d, q), ar_coeffs=values(p, p, 1.0),
+            ma_coeffs=values(q, q, 1.0),
+            intercept=data.draw(st.floats(-10.0, 10.0)),
+            w_tail=values(p, p + 3, 1e3), e_tail=values(q, q + 3, 1e3),
+            diff_tails=values(d, d, 1e3))
+        out = arima_forecast(model, h)
+        assert out.dtype == np.float64
+        assert out.tobytes() == arima_forecast_reference(model, h).tobytes()
+
 
 class TestCssObjective:
     def test_nested_ar_chain_monotone(self, india):
@@ -285,12 +337,27 @@ class TestCssObjective:
         prev_sse = np.inf
         prev_theta = np.empty(0)
         for q in range(4):
-            x0 = None
             if q > 0:
                 x0 = np.concatenate([prev_theta, [0.0]])
-            _, _, theta, sse, _ = css_fit(w, 0, q, False, burn=burn, x0=x0)
+                theta, sse, _ = marquardt_from(x0, w, 0, q, False, burn)
+            else:
+                _, _, theta, sse, _ = css_fit(w, 0, q, False, burn=burn)
             assert sse <= prev_sse * (1 + 1e-6) + 1e-9
             prev_sse, prev_theta = sse, theta
+
+
+def marquardt_from(x0, w, p, q, intercept, burn):
+    """:func:`_marquardt` on the CSS problem from the start ``x0``, as
+    :func:`css_fit` runs it from its own starts: the fitted coefficients,
+    their SSE (``inf`` where the start's is not finite) and innovations."""
+    _, _, innovations, jacobian = _css_problem(w, p, q, intercept, burn)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = innovations(x0)
+        sse = float(e @ e)
+        if not math.isfinite(sse):
+            return x0, math.inf, e
+        x, sse = _marquardt(innovations, jacobian, x0, sse, q)
+        return x, sse, innovations(x)
 
 
 def arma_draw(seed):
@@ -369,13 +436,15 @@ class TestCssOracle:
             x0 = rng.normal(scale=0.3, size=p + q + (1 if intercept else 0))
             starts = [x0]
         else:
-            x0 = None
             starts = [np.concatenate([_ols(design, target)[0], np.zeros(q)])]
             hr = _hannan_rissanen_start(w, p, q, intercept)
             if hr is not None:
                 starts.append(hr)
         start_sse = min(float(e @ e) for e in map(innovations, starts))
-        *_, sse, e = css_fit(w, p, q, intercept, burn=burn, x0=x0)
+        if warm:
+            _, sse, e = marquardt_from(x0, w, p, q, intercept, burn)
+        else:
+            *_, sse, e = css_fit(w, p, q, intercept, burn=burn)
         assert sse <= start_sse
         assert sse == float(e @ e)
         assert not np.shares_memory(e, w)
